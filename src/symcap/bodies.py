@@ -35,12 +35,17 @@ class ConvexBody:
     def support_with_point(self, u):
         raise NotImplementedError
 
+    @property
+    def kinked(self) -> bool:
+        """True when support_batch's smooth parameter changes the values."""
+        return False
+
     def support_batch(self, U: np.ndarray, smooth: float = 0.0):
         """Vectorized support over rows of U; returns (values, gradients).
 
         The gradient rows are maximizer points where the support is
         differentiable.  smooth is accepted everywhere but only affects
-        bodies with support kinks away from the origin.
+        bodies with support kinks away from the origin (see kinked).
         """
         U = np.asarray(U, dtype=float)
         h = np.empty(U.shape[0])
@@ -250,6 +255,11 @@ class IntersectionBody(ConvexBody):
     @property
     def members(self):
         return (self.ellipsoid, self.cylinder)
+
+    @property
+    def kinked(self) -> bool:
+        # only the closed-form branch of the KKT solver rounds the kink
+        return bool(self._solver._uniform)
 
     def support_with_point(self, u):
         h, p = self._solver.solve(np.asarray(u, dtype=float)[None, :])

@@ -111,8 +111,11 @@ def cmd_ehz(args) -> int:
         _write(out_dir, "ehz.json", json.dumps(report, indent=2) + "\n")
         if out_dir is not None:
             _write(out_dir, "loop.csv", res.loop.to_csv())
+    # stdout carries the JSON alone when no --out is given, so it parses
+    summary = sys.stderr if args.format == "json" and out_dir is None else sys.stdout
     print("capacity ≈ %.4f  (N=%d, restarts=%d, seed=%d, converged=%s)"
-          % (res.capacity, res.n_samples, res.restarts, res.seed, res.converged))
+          % (res.capacity, res.n_samples, res.restarts, res.seed, res.converged),
+          file=summary)
     return 0 if res.converged else 2
 
 

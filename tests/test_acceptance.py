@@ -9,6 +9,8 @@ stays pinned by test_area_feasibility_middle_inequality_fails_in_corner
 in test_bounds.py.
 """
 
+import pytest
+
 from symcap import verify
 
 
@@ -69,7 +71,13 @@ def test_criterion_09_linear_search_remark():
     assert item["seconds"] < 120.0
 
 
-def test_criterion_10_area_feasibility_chain():
+@pytest.fixture(scope="module")
+def criterion_10():
+    # one 2,500-point quadrature serves the chain test and its companion
+    return verify.criterion_10_area_feasibility(seed=0)
+
+
+def test_criterion_10_area_feasibility_chain(criterion_10):
     # The printed middle inequality (1-h)/2 + (t/2) sqrt(1-h) <= area(S_h)
     # fails whenever 1-h < t^2 (t=0.9, h=0.95: bound 0.12562 > area 0.05000;
     # pinned in test_bounds.test_area_feasibility_middle_inequality_fails_in_corner).
@@ -77,12 +85,12 @@ def test_criterion_10_area_feasibility_chain():
     # half-ellipse's x-semi-axis is clipped to sqrt((1-h)/pi), giving
     # (1-h)/2 + sqrt(1-h) min(t, sqrt(1-h)) / 2, and every printed failure
     # must lie in the corner 1-h < t^2.
-    item = _report(verify.criterion_10_area_feasibility(seed=0))
+    item = _report(criterion_10)
     assert item["passed"], item
 
 
-def test_criterion_10_companion_end_to_end_feasibility():
-    item = verify.criterion_10_area_feasibility(seed=0)
+def test_criterion_10_companion_end_to_end_feasibility(criterion_10):
+    item = criterion_10
     ok = item["measured"]["disc_le_exact_failures"] == 0
     print(f"[{'PASS' if ok else 'FAIL'}] criterion 10-companion "
           f"disc area <= exact area on the full grid: "

@@ -41,6 +41,16 @@ def test_ehz_writes_json_and_loop(tmp_path, capsys):
     assert (tmp_path / "loop.csv").read_text().startswith("t,x1,y1,x2,y2")
 
 
+def test_ehz_json_to_stdout_parses(capsys):
+    code = run(["ehz", "--body", "ball4", "--n-samples", "64",
+                "--restarts", "2", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 0
+    doc = json.loads(captured.out)
+    assert doc["N"] == 64 and len(doc["restart_log"]) == 2
+    assert "capacity" in captured.err
+
+
 def test_orbits_summary_minus_branch(tmp_path, capsys):
     code = run(["orbits", "--t", "0.25", "--samples", "4", "--out", str(tmp_path)])
     out = capsys.readouterr().out

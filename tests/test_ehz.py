@@ -95,6 +95,21 @@ def test_intersection_capacity_small_run():
     body = bd.ball_cap_cylinder_intersection(0.5)
     res = ehz.ehz_capacity(body, N=128, restarts=4, seed=0)
     assert res.capacity == pytest.approx(0.5, rel=0.03)
+    # smoothing continuation: no higher than the single-level descent's
+    # 0.5001037608 at about a fifth of its 9.8k objective evaluations
+    assert res.capacity <= 0.5001037608 + 1e-6
+    assert sum(rec["nfev"] for rec in res.restart_log) <= 2000
+    assert [rec["value"] for rec in res.restart_log] == res.history
+
+
+def test_smoothing_schedule_only_on_kinked_bodies():
+    assert not bd.frame_cylinder(0.5).kinked
+    for body, kinked, stages in [(bd.EllipsoidBody.from_radii([1.0, 0.5]), False, 1),
+                                 (bd.CapacityBall(1.0, 2), False, 1),
+                                 (bd.ball_cap_cylinder_intersection(0.5), True, 3)]:
+        assert body.kinked is kinked
+        res = ehz.ehz_capacity(body, N=32, restarts=2, seed=0)
+        assert [rec["stages"] for rec in res.restart_log] == [stages, stages]
 
 
 def test_capacity_unbounded_body_rejected():
@@ -116,6 +131,7 @@ def test_capacity_deterministic_given_seed():
     r2 = ehz.ehz_capacity(body, N=64, restarts=3, seed=123)
     assert r1.capacity == r2.capacity
     assert r1.history == r2.history
+    assert r1.restart_log == r2.restart_log
 
 
 def test_conformality_dilation_scales_capacity():
@@ -239,7 +255,8 @@ def test_result_json_and_loop_csv():
     res = ehz.ehz_capacity(bd.CapacityBall(1.0, 2), N=64, restarts=2, seed=10)
     doc = res.to_json()
     assert set(doc) == {"capacity", "N", "restarts", "seed", "converged",
-                        "grad_norm", "history"}
+                        "grad_norm", "history", "restart_log"}
+    assert set(doc["restart_log"][0]) == {"value", "nit", "nfev", "stages", "message"}
     csv = res.loop.to_csv()
     header = csv.splitlines()[0]
     assert header == "t,x1,y1,x2,y2"
