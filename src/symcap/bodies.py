@@ -20,17 +20,14 @@ class UnboundedDirectionError(ValueError):
 
 
 class ConvexBody:
-    """Interface: support(u), support_point(u), membership(p, tol)."""
+    """Interface: support_with_point(u) -> (value, maximizer), support(u),
+    support_batch(U, smooth), kinked, membership(p, tol), to_json()."""
 
     dim: int
 
     def support(self, u) -> float:
         h, _ = self.support_with_point(u)
         return h
-
-    def support_point(self, u) -> np.ndarray:
-        _, p = self.support_with_point(u)
-        return p
 
     def support_with_point(self, u):
         raise NotImplementedError
@@ -399,12 +396,6 @@ class _IntersectionSupport:
         y = w / (1.0 + mu * d)
         y /= np.linalg.norm(y)
         return float(y @ w), y
-
-
-def support_intersection(ellipsoid: EllipsoidBody, cylinder: QuadCylinder, u):
-    """max <p, u> over the ellipsoid-cylinder intersection, with maximizer."""
-    body = IntersectionBody(ellipsoid, cylinder)
-    return body.support_with_point(u)
 
 
 def largest_ball_in_ellipsoid(M: np.ndarray) -> float:

@@ -7,8 +7,8 @@ files are only written after the computation finishes.
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import bodies as bd
@@ -23,39 +23,30 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Provenance record embedded in JSON outputs; fixing it (plus the
-    command) fixes every emitted byte."""
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number, got %r" % text)
+    return value
 
-    command: str
-    ts: list = field(default_factory=list)
-    n_samples: int = 256
-    restarts: int = 8
-    seed: int = 0
-    out_dir: str | None = None
-    fmt: str = "csv"
 
-    @classmethod
-    def from_args(cls, args, ts=()):
-        return cls(command=args.command, ts=[float(t) for t in ts],
-                   n_samples=args.n_samples, restarts=args.restarts,
-                   seed=args.seed, out_dir=args.out, fmt=args.format)
-
-    def to_json(self) -> dict:
-        return {"command": self.command, "ts": self.ts,
-                "N": self.n_samples, "restarts": self.restarts,
-                "seed": self.seed, "format": self.fmt}
+def _finite_list(text: str) -> list:
+    """argparse type: comma-separated finite floats."""
+    return [_finite_float(x) for x in text.split(",")]
 
 
 def _parse_grid(spec: str) -> list:
-    """Parse 'a:b:step' into an inclusive float grid."""
-    try:
-        a, b, step = (float(x) for x in spec.split(":"))
-    except ValueError as exc:
-        raise UsageError("grid must look like a:b:step") from exc
+    """argparse type: parse 'a:b:step' into an inclusive float grid."""
+    fields = spec.split(":")
+    if len(fields) != 3:
+        raise argparse.ArgumentTypeError("grid must look like a:b:step")
+    a, b, step = (_finite_float(x) for x in fields)
     if step <= 0 or b < a:
-        raise UsageError("grid must satisfy a <= b with positive step")
+        raise argparse.ArgumentTypeError("grid must satisfy a <= b with positive step")
     count = int(round((b - a) / step))
     vals = [round(a + i * step, 12) for i in range(count + 1)]
     return [v for v in vals if a - 1e-12 <= v <= b + 1e-12]
@@ -99,11 +90,13 @@ def _write(out_dir: Path | None, name: str, text: str) -> None:
 
 def cmd_ehz(args) -> int:
     spec = {"kind": args.body, "t": args.t, "r": args.r, "L": args.L,
-            "radii": [float(x) for x in args.radii.split(",")] if args.radii else None}
+            "radii": args.radii}
     body = _body_from_spec(spec)
-    cfg = RunConfig.from_args(args, ts=[args.t] if args.t is not None else [])
-    res = ehz.ehz_capacity(body, N=cfg.n_samples, restarts=cfg.restarts, seed=cfg.seed)
-    report = {"config": cfg.to_json(),
+    res = ehz.ehz_capacity(body, N=args.n_samples, restarts=args.restarts, seed=args.seed)
+    config = {"command": "ehz", "ts": [args.t] if args.t is not None else [],
+              "N": args.n_samples, "restarts": args.restarts,
+              "seed": args.seed, "format": args.format}
+    report = {"config": config,
               "body": {k: v for k, v in spec.items() if v is not None}}
     report.update(res.to_json())
     out_dir = Path(args.out) if args.out else None
@@ -123,8 +116,7 @@ def cmd_orbits(args) -> int:
     t = args.t
     if t is None or not 0.0 < t < 1.0:
         raise UsageError("orbits requires --t strictly between 0 and 1")
-    cfg = RunConfig.from_args(args, ts=[t])
-    action, best, found = ob.min_action_scan(t, samples=args.samples, seed=cfg.seed)
+    action, best, found = ob.min_action_scan(t, samples=args.samples, seed=args.seed)
     lines = ["arc,region,angle,action_increment," +
              ",".join(f"end_{c}" for c in ("x1", "y1", "x2", "y2"))]
     for i, arc in enumerate(best.arcs):
@@ -133,7 +125,8 @@ def cmd_orbits(args) -> int:
                               + [f"{c:.12g}" for c in arc.end]))
     out_dir = Path(args.out) if args.out else None
     _write(out_dir, "orbit.csv", "\n".join(lines) + "\n")
-    summary = {"config": cfg.to_json(), "t": t, "min_action": action,
+    summary = {"config": {"command": "orbits", "ts": [t], "seed": args.seed},
+               "t": t, "min_action": action,
                "glide_plus_action": t,
                "closed_orbits_found": len(found)}
     if t < 0.5:
@@ -147,7 +140,7 @@ def cmd_orbits(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    grid = _parse_grid(args.grid)
+    grid = args.grid
     if any(not 0.0 < g < 1.0 for g in grid):
         raise UsageError("grid values must lie strictly inside (0, 1)")
     table = bn.BoundTable.on_grid(grid)
@@ -185,32 +178,35 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ehz", help="capacity of a convex body")
     p.add_argument("--body", required=True,
                    choices=["ball4", "ellipsoid", "intersection", "mt-image", "al-scaled"])
-    p.add_argument("--t", type=float)
-    p.add_argument("--r", type=float, default=1.0)
-    p.add_argument("--L", type=float, default=1.0)
-    p.add_argument("--radii", type=str, help="comma-separated capacities")
+    p.add_argument("--t", type=_finite_float)
+    p.add_argument("--r", type=_finite_float, default=1.0)
+    p.add_argument("--L", type=_finite_float, default=1.0)
+    p.add_argument("--radii", type=_finite_list, help="comma-separated capacities")
+    p.add_argument("--n-samples", type=int, default=256)
+    p.add_argument("--restarts", type=int, default=8)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_ehz)
 
     p = sub.add_parser("orbits", help="closed characteristic scan")
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=_finite_float, required=True)
     p.add_argument("--samples", type=int, default=32)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("bounds", help="lower-bound table and chart")
-    p.add_argument("--grid", type=str, default="0.01:0.99:0.01",
+    p.add_argument("--grid", type=_parse_grid, default="0.01:0.99:0.01",
                    help="t grid as a:b:step")
+    p.add_argument("--format", choices=["csv", "svg"], default="csv")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("verify", help="run the acceptance criteria")
     p.add_argument("--level", choices=["quick", "full"], default="quick")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
     for p in sub.choices.values():
-        p.add_argument("--n-samples", type=int, default=256)
-        p.add_argument("--restarts", type=int, default=8)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
     return parser
 
 

@@ -123,6 +123,8 @@ class EhzResult:
     history holds each restart's exact ratio; restart_log holds one record
     per restart: value (that ratio), nit and nfev summed over the smoothing
     stages, the number of stages and the last stage's stop message.
+    restart_agreement counts the restarts whose ratio lies within 1e-6
+    relative of the best; a low count means restarts stalled elsewhere.
     """
 
     capacity: float
@@ -135,6 +137,11 @@ class EhzResult:
     history: list = field(default_factory=list)
     restart_log: list = field(default_factory=list)
 
+    @property
+    def restart_agreement(self) -> int:
+        return sum(abs(h - self.capacity) <= 1e-6 * abs(self.capacity)
+                   for h in self.history)
+
     def to_json(self) -> dict:
         return {
             "capacity": self.capacity,
@@ -144,6 +151,7 @@ class EhzResult:
             "converged": self.converged,
             "grad_norm": self.grad_norm,
             "history": self.history,
+            "restart_agreement": self.restart_agreement,
             "restart_log": self.restart_log,
         }
 

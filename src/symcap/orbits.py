@@ -3,8 +3,10 @@ round cylinder A^{-1} W^4 over a Kahler-angle-t plane.
 
 The boundary splits into a sphere part S1, a cylinder part S2, and the
 corner stratum S1 cap S2.  Characteristics rotate rigidly on each stratum,
-so arcs are advanced in closed form and integration reduces to locating
-corner events.  Action is accounted per arc as tau/2pi on S1 and
+so arcs are advanced in closed form.  Corner events are closed-form too:
+along an arc the inactive constraint is A + B cos ks + C sin ks (k = 2
+for the Hopf rotation on S1, k = 1 on S2), whose first upward root is an
+explicit arccos.  Action is accounted per arc as tau/2pi on S1 and
 (theta/2pi) t on S2; both strata split omega-orthogonally, so the arc
 formula agrees with the line integral exactly.
 """
@@ -323,26 +325,35 @@ def corner_state(t: float, rho: float, psi: float, frame: OrbitFrame | None = No
     return frame.from_oblique_coords(a)
 
 
-def _first_crossing(fvals, grid, fun, guard: int):
-    """Index search plus brentq refinement of the first upward zero of fun."""
-    for i in range(guard, len(grid) - 1):
-        if fvals[i] <= 0.0 < fvals[i + 1]:
-            lo, hi = grid[i], grid[i + 1]
-            if fun(lo) > 0.0:
-                return lo
-            return brentq(fun, lo, hi, xtol=1e-12, rtol=1e-15)
-    return None
+def _first_upward_root(fun, k: int):
+    """First s > 0 where fun = A + B cos ks + C sin ks crosses zero upward.
+
+    A, B, C are read off fun at s = 0, pi/2k and pi/k.  Returns None when
+    fun never crosses zero upward (hypot(B, C) <= |A|).
+    """
+    f0, f1, f2 = fun(0.0), fun(0.5 * np.pi / k), fun(np.pi / k)
+    A = 0.5 * (f0 + f2)
+    B = 0.5 * (f0 - f2)
+    C = f1 - A
+    R = float(np.hypot(B, C))
+    if R <= abs(A):
+        return None
+    s = ((np.arctan2(C, B) - np.arccos(-A / R)) % (2.0 * np.pi)) / k
+    if s <= 1e-12:
+        s += 2.0 * np.pi / k
+    return s
 
 
 def integrate_orbit(start, frame: OrbitFrame, max_arcs: int = 64,
-                    step: float = 1e-3, closure_tol: float = 1e-6,
+                    closure_tol: float = 1e-6,
                     boundary_tol: float = 1e-7) -> CharacteristicOrbit:
     """Follow the piecewise characteristic flow from a boundary point.
 
-    Each stratum is an exact rotation, so the integrator only locates the
-    next corner event (sign change of the inactive constraint, refined by
-    bisection to 1e-12) and dispatches at corners by the glide sign.
-    Stops at closure, at a glide classification, or after max_arcs.
+    Each stratum is an exact rotation, so the inactive constraint along an
+    arc is A + B cos ks + C sin ks (k = 2 on S1, k = 1 on S2) and the next
+    corner event is its first upward root, in closed form.  Corners
+    dispatch by the glide sign.  Stops at closure, at a glide
+    classification, or after max_arcs.
     """
     p = np.asarray(start, dtype=float).copy()
     t = frame.t
@@ -364,40 +375,26 @@ def integrate_orbit(start, frame: OrbitFrame, max_arcs: int = 64,
                 return CharacteristicOrbit(frame, arcs, True)
             region = S1 if sigma < 0.0 else S2
         if region == S1:
-            fun = lambda th: np.pi * frame.cylinder_form(s1_flow(p, th)) - t * t
-            grid = np.arange(0.0, 2.0 * np.pi + step, step)
-            vals = np.pi * _cyl_form_batch(s1_flow(p, grid), frame) - t * t
-            theta = _first_crossing(vals, grid, fun, guard=1)
-            if theta is None:
-                arcs.append(Arc(S1, p, p, 2.0 * np.pi, 1.0))
-                closed = True
-                break
-            q = s1_flow(p, theta)
-            arcs.append(Arc(S1, p, q, theta, theta / (2.0 * np.pi)))
-            p = q
-            region = CORNER
+            flow = lambda s: s1_flow(p, s)
+            fun = lambda s: np.pi * frame.cylinder_form(flow(s)) - t * t
+            k, rate = 2, 1.0
         else:
-            fun = lambda ph: np.pi * float(np.sum(s2_flow(p, ph, frame) ** 2)) - 1.0
-            grid = np.arange(0.0, 2.0 * np.pi + step, step)
-            pts = s2_flow(p, grid, frame)
-            vals = np.pi * np.sum(pts * pts, axis=1) - 1.0
-            phi = _first_crossing(vals, grid, fun, guard=1)
-            if phi is None:
-                arcs.append(Arc(S2, p, p, 2.0 * np.pi, t))
-                closed = True
-                break
-            q = s2_flow(p, phi, frame)
-            arcs.append(Arc(S2, p, q, phi, phi * t / (2.0 * np.pi)))
-            p = q
-            region = CORNER
+            flow = lambda s: s2_flow(p, s, frame)
+            fun = lambda s: np.pi * float(np.sum(flow(s) ** 2)) - 1.0
+            k, rate = 1, t
+        s = _first_upward_root(fun, k)
+        if s is None:
+            arcs.append(Arc(region, p, p, 2.0 * np.pi, rate))
+            closed = True
+            break
+        q = flow(s)
+        arcs.append(Arc(region, p, q, s, s * rate / (2.0 * np.pi)))
+        p = q
+        region = CORNER
         if np.linalg.norm(p - origin) <= closure_tol and len(arcs) > 1:
             closed = True
             break
     return CharacteristicOrbit(frame, arcs, closed)
-
-
-def _cyl_form_batch(pts: np.ndarray, frame: OrbitFrame) -> np.ndarray:
-    return (pts @ frame.jv1) ** 2 + (pts @ frame.jv2) ** 2
 
 
 def block_map(t: float, rho: float, frame: OrbitFrame | None = None):

@@ -53,14 +53,6 @@ def is_symplectic(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     return float(np.max(np.abs(M.T @ J @ M - J))) <= tol
 
 
-def check_symplectic(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> np.ndarray:
-    """Validate and return M; raises if the symplectic identity fails."""
-    M = np.asarray(M, dtype=float)
-    if not is_symplectic(M, tol):
-        raise ValueError("matrix is not symplectic at tolerance %g" % tol)
-    return M
-
-
 def kahler_angle(n1, n2, tol: float = 1e-8) -> float:
     """|omega(n1, n2)| for a unit orthogonal pair, clamped to [0, 1].
 

@@ -192,16 +192,6 @@ def test_intersection_support_le_min_of_members():
             pass
 
 
-def test_support_intersection_function_matches_body():
-    ell = bd.CapacityBall(1.0, 2)
-    cyl = bd.frame_cylinder(0.3)
-    u = np.array([0.3, -1.2, 0.5, 0.9])
-    h1, p1 = bd.support_intersection(ell, cyl, u)
-    h2, p2 = bd.IntersectionBody(ell, cyl).support_with_point(u)
-    assert h1 == pytest.approx(h2, abs=1e-12)
-    assert np.allclose(p1, p2)
-
-
 def test_kkt_general_path_agrees_with_closed_form():
     # dual route: force the multiplier root solve on a body whose whitened
     # cylinder spectrum is uniform, where the closed form is exact

@@ -63,12 +63,15 @@ def test_orbits_summary_minus_branch(tmp_path, capsys):
 
 
 def test_orbits_high_t_omits_minus(tmp_path, capsys):
-    code = run(["orbits", "--t", "0.75", "--samples", "4", "--out", str(tmp_path)])
+    code = run(["orbits", "--t", "0.75", "--samples", "4", "--seed", "3",
+                "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert code == 0
     assert "MINUS" not in out
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert "glide_minus_action" not in summary
+    # provenance records only the flags orbits acts on
+    assert summary["config"] == {"command": "orbits", "ts": [0.75], "seed": 3}
 
 
 def test_orbits_t_out_of_range(capsys):
@@ -142,3 +145,36 @@ def test_verify_wiring_and_exit_codes(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert "1/2 criteria passed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["ehz", "--body", "ball4", "--format", "svg"],
+    ["orbits", "--t", "0.3", "--n-samples", "64"],
+    ["orbits", "--t", "0.3", "--restarts", "2"],
+    ["orbits", "--t", "0.3", "--format", "json"],
+    ["bounds", "--seed", "1"],
+    ["bounds", "--n-samples", "64"],
+    ["bounds", "--restarts", "2"],
+    ["bounds", "--format", "json"],
+    ["verify", "--n-samples", "64"],
+    ["verify", "--restarts", "2"],
+    ["verify", "--format", "json"],
+])
+def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
+    assert run(argv) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ehz", "--body", "ball4", "--r", "nan"], "--r"),
+    (["ehz", "--body", "al-scaled", "--L", "inf"], "--L"),
+    (["ehz", "--body", "intersection", "--t=-inf"], "--t"),
+    (["ehz", "--body", "ellipsoid", "--radii", "1,nan"], "--radii"),
+    (["orbits", "--t", "nan"], "--t"),
+    (["bounds", "--grid", "0.1:nan:0.1"], "--grid"),
+    (["bounds", "--grid", "inf:0.5:0.1"], "--grid"),
+])
+def test_non_finite_numbers_rejected_naming_the_flag(argv, flag, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "argument %s: expected a finite number" % flag in err

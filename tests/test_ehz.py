@@ -102,6 +102,15 @@ def test_intersection_capacity_small_run():
     assert [rec["value"] for rec in res.restart_log] == res.history
 
 
+def test_restart_agreement_counts_restarts_at_the_best_value():
+    # at t = 0.75 three of eight restarts stall at the Hopf value 1.00005
+    res = ehz.ehz_capacity(bd.ball_cap_cylinder_intersection(0.75), N=256,
+                           restarts=8, seed=0)
+    assert res.restart_agreement == 5
+    assert sum(abs(h - 1.00005) < 1e-4 for h in res.history) == 3
+    assert res.to_json()["restart_agreement"] == 5
+
+
 def test_smoothing_schedule_only_on_kinked_bodies():
     assert not bd.frame_cylinder(0.5).kinked
     for body, kinked, stages in [(bd.EllipsoidBody.from_radii([1.0, 0.5]), False, 1),
@@ -255,7 +264,7 @@ def test_result_json_and_loop_csv():
     res = ehz.ehz_capacity(bd.CapacityBall(1.0, 2), N=64, restarts=2, seed=10)
     doc = res.to_json()
     assert set(doc) == {"capacity", "N", "restarts", "seed", "converged",
-                        "grad_norm", "history", "restart_log"}
+                        "grad_norm", "history", "restart_agreement", "restart_log"}
     assert set(doc["restart_log"][0]) == {"value", "nit", "nfev", "stages", "message"}
     csv = res.loop.to_csv()
     header = csv.splitlines()[0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from symcap import orbits as ob
 from symcap.symcore import apply_J, symplectic_form
@@ -251,6 +252,55 @@ def test_integrate_pure_hopf_action_one():
     orbit = ob.integrate_orbit(p, f)
     assert orbit.closed and orbit.regions == [ob.S1]
     assert orbit.action == pytest.approx(1.0, abs=1e-6)
+
+
+def test_integrate_detects_grazing_exit_from_sphere():
+    # the Hopf circle of p leaves the cylinder by only 1e-8, over windows
+    # about 1e-4 wide; the event must still be found
+    t = 0.75
+    f = ob.OrbitFrame.standard(t)
+    ex1, ex2 = np.eye(4)[0], np.eye(4)[2]
+
+    def sphere_point(alpha):
+        return (np.sin(alpha) * ex1 + np.cos(alpha) * ex2) / np.sqrt(np.pi)
+
+    def circle_gram(p):
+        # the cylinder form on the circle cos(th) p + sin(th) Jp is the
+        # quadratic form of this Gram matrix in (cos th, sin th)
+        M = np.array([[p @ f.jv1, p @ f.jv2],
+                      [apply_J(p) @ f.jv1, apply_J(p) @ f.jv2]])
+        return M @ M.T
+
+    def exit_height(alpha):
+        return np.pi * np.linalg.eigvalsh(circle_gram(sphere_point(alpha)))[-1] - t * t
+
+    alpha = brentq(lambda a: exit_height(a) - 1e-8, 0.0, np.pi / 2, xtol=1e-15)
+    assert exit_height(alpha) == pytest.approx(1e-8, rel=1e-3)
+    p = sphere_point(alpha)
+    inner = np.linalg.eigh(circle_gram(p))[1][:, 0]
+    start = ob.s1_flow(p, np.arctan2(inner[1], inner[0]))
+    assert ob.classify_boundary_point(start, f) == ob.S1
+    orbit = ob.integrate_orbit(start, f, max_arcs=4)
+    assert orbit.regions[:2] == [ob.S1, ob.S2]
+
+
+def test_integrate_events_are_first_crossings():
+    rng = np.random.default_rng(17)
+    for t in (0.3, 0.6):
+        f = ob.OrbitFrame.standard(t)
+        for _ in range(20):
+            rho = rng.uniform(0.0, 0.995) * ob.corner_rho_max(t)
+            p0 = ob.corner_state(t, rho, rng.uniform(0, 2 * np.pi), f)
+            orbit = ob.integrate_orbit(p0, f, max_arcs=8, closure_tol=0.0)
+            for arc in orbit.arcs:
+                s = np.linspace(0.0, arc.angle, 514)[1:-1]
+                if arc.region == ob.S1:
+                    pts = ob.s1_flow(arc.start, s)
+                    inactive = np.pi * ((pts @ f.jv1) ** 2 + (pts @ f.jv2) ** 2) - t * t
+                else:
+                    pts = ob.s2_flow(arc.start, s, f)
+                    inactive = np.pi * np.sum(pts * pts, axis=1) - 1.0
+                assert inactive.max() <= 1e-9
 
 
 def test_integrate_alternating_orbit_action_exceeds_t():
