@@ -407,16 +407,18 @@ def largest_ball_in_ellipsoid(M: np.ndarray) -> float:
     return float(s[-1] ** 2)
 
 
-def largest_ball_in_cylinder(S: np.ndarray, cyl: QuadCylinder) -> float:
+def largest_ball_in_cylinder(S: np.ndarray, cyl: QuadCylinder):
     """Largest r with S B^{2n}(r) inside the cylinder: c*pi / lambda_max(S^T C S).
 
-    Returns +inf when the cylinder form vanishes on the image (no constraint).
+    S may be one matrix (a float is returned) or a stack (..., 2n, 2n) (an
+    array of the stack's shape).  The radius is +inf where the cylinder form
+    vanishes on the image (no constraint).
     """
     S = np.asarray(S, dtype=float)
-    lam = float(np.linalg.eigvalsh(S.T @ cyl.C @ S)[-1])
-    if lam <= _RANGE_TOL:
-        return float("inf")
-    return cyl.level * np.pi / lam
+    lam = np.linalg.eigvalsh(np.swapaxes(S, -1, -2) @ cyl.C @ S)[..., -1]
+    with np.errstate(divide="ignore"):
+        r = np.where(lam <= _RANGE_TOL, np.inf, cyl.level * np.pi / lam)
+    return float(r) if S.ndim == 2 else r
 
 
 def slice_ellipsoid(M: np.ndarray, r: float = 1.0) -> EllipsoidBody:

@@ -99,13 +99,16 @@ def cmd_ehz(args) -> int:
     report = {"config": config,
               "body": {k: v for k, v in spec.items() if v is not None}}
     report.update(res.to_json())
+    docs = {"json": ("ehz.json", json.dumps(report, indent=2) + "\n"),
+            "csv": ("loop.csv", res.loop.to_csv())}
     out_dir = Path(args.out) if args.out else None
-    if args.format == "json" or out_dir is not None:
-        _write(out_dir, "ehz.json", json.dumps(report, indent=2) + "\n")
-        if out_dir is not None:
-            _write(out_dir, "loop.csv", res.loop.to_csv())
-    # stdout carries the JSON alone when no --out is given, so it parses
-    summary = sys.stderr if args.format == "json" and out_dir is None else sys.stdout
+    if out_dir is not None:
+        for name, text in docs.values():
+            _write(out_dir, name, text)
+    elif args.format is not None:
+        _write(None, *docs[args.format])
+    # with --format and no --out, stdout carries the document alone, so it parses
+    summary = sys.stderr if args.format is not None and out_dir is None else sys.stdout
     print("capacity ≈ %.4f  (N=%d, restarts=%d, seed=%d, converged=%s)"
           % (res.capacity, res.n_samples, res.restarts, res.seed, res.converged),
           file=summary)
@@ -185,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-samples", type=int, default=256)
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--format", choices=["csv", "json"],
+                   help="without --out: print loop.csv or the JSON report on stdout")
     p.set_defaults(func=cmd_ehz)
 
     p = sub.add_parser("orbits", help="closed characteristic scan")

@@ -80,11 +80,14 @@ def plane_kahler_angle(b1, b2) -> float:
 
 
 def _embed_block(block: np.ndarray, n: int) -> np.ndarray:
-    """Identity on the first 2n-4 coordinates, 4x4 block on the rest."""
+    """Identity on the first 2n-4 coordinates, 4x4 block on the rest.
+
+    A stack of blocks (..., 4, 4) gives a stack (..., 2n, 2n).
+    """
     if n < 2:
         raise ValueError("n must be at least 2")
-    M = np.eye(2 * n)
-    M[2 * n - 4:, 2 * n - 4:] = block
+    M = np.broadcast_to(np.eye(2 * n), block.shape[:-2] + (2 * n, 2 * n)).copy()
+    M[..., 2 * n - 4:, 2 * n - 4:] = block
     return M
 
 
@@ -156,22 +159,23 @@ def matrix_A_gw(t: float, n: int = 2) -> np.ndarray:
     return _embed_block(block, n)
 
 
-def matrix_S(d1: float, d2: float, n: int = 2) -> np.ndarray:
+def matrix_S(d1, d2, n: int = 2) -> np.ndarray:
     """Two-parameter symplectic family interpolating the two basic embeddings.
 
-    Requires d1*d2 >= 1; equals the identity at d1 = d2 = 1.
+    Requires d1*d2 >= 1; equals the identity at d1 = d2 = 1.  Array d1, d2
+    (broadcast together) give the stack (..., 2n, 2n) of their matrices.
     """
-    if d1 <= 0 or d2 <= 0:
+    d1, d2 = np.broadcast_arrays(np.asarray(d1, dtype=float), np.asarray(d2, dtype=float))
+    if np.any(d1 <= 0) or np.any(d2 <= 0):
         raise ValueError("d1 and d2 must be positive")
-    if d1 * d2 < 1.0 - 1e-12:
+    if np.any(d1 * d2 < 1.0 - 1e-12):
         raise ValueError("need d1*d2 >= 1 for a real coupling entry")
-    e = np.sqrt(max(d1 * d2 - 1.0, 0.0))
-    block = np.array([
-        [d1, 0.0, e, 0.0],
-        [0.0, d2, 0.0, -e],
-        [e, 0.0, d2, 0.0],
-        [0.0, -e, 0.0, d1],
-    ])
+    e = np.sqrt(np.maximum(d1 * d2 - 1.0, 0.0))
+    block = np.zeros(d1.shape + (4, 4))
+    block[..., 0, 0] = block[..., 3, 3] = d1
+    block[..., 1, 1] = block[..., 2, 2] = d2
+    block[..., 0, 2] = block[..., 2, 0] = e
+    block[..., 1, 3] = block[..., 3, 1] = -e
     return _embed_block(block, n)
 
 
@@ -191,21 +195,28 @@ def matrix_AL(L: float, n: int = 2) -> np.ndarray:
     return D
 
 
+def _unitary_from_gaussian(Z: np.ndarray) -> np.ndarray:
+    """Real 2n x 2n form of the phase-fixed QR factor of complex Z (..., n, n)."""
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (d / np.abs(d))[..., None, :]
+    n = Z.shape[-1]
+    M = np.zeros(Z.shape[:-2] + (2 * n, 2 * n))
+    re, im = Q.real, Q.imag
+    M[..., 0::2, 0::2] = re
+    M[..., 0::2, 1::2] = -im
+    M[..., 1::2, 0::2] = im
+    M[..., 1::2, 1::2] = re
+    return M
+
+
 def random_unitary_matrix(n: int, rng: np.random.Generator) -> np.ndarray:
     """Real 2n x 2n representation of a Haar-ish random U(n) element.
 
     The result is both orthogonal and symplectic (it commutes with J).
     """
     Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(Z)
-    Q = Q * (np.diag(R) / np.abs(np.diag(R)))
-    M = np.zeros((2 * n, 2 * n))
-    re, im = Q.real, Q.imag
-    M[0::2, 0::2] = re
-    M[0::2, 1::2] = -im
-    M[1::2, 0::2] = im
-    M[1::2, 1::2] = re
-    return M
+    return _unitary_from_gaussian(Z)
 
 
 def symplectic_transvection(v: np.ndarray, c: float) -> np.ndarray:
@@ -222,6 +233,26 @@ def random_symplectic_matrix(n: int, rng: np.random.Generator,
         v = rng.normal(size=2 * n)
         v /= np.linalg.norm(v)
         M = M @ symplectic_transvection(v, rng.normal(scale=scale))
+    return M
+
+
+def random_symplectic_matrices(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count draws of random_symplectic_matrix(n, rng) as one (count, 2n, 2n) stack.
+
+    Consumes the generator stream of count scalar calls with their default
+    six transvections of scale 0.3: per sample the real and the imaginary
+    n x n block, then one (v, c) pair per transvection.
+    """
+    m, transvections = 2 * n, 6
+    z = rng.standard_normal((count, 2 * n * n + transvections * (m + 1)))
+    Z = z[:, :n * n].reshape(count, n, n) + 1j * z[:, n * n:2 * n * n].reshape(count, n, n)
+    M = _unitary_from_gaussian(Z)
+    pairs = z[:, 2 * n * n:].reshape(count, transvections, m + 1)
+    for k in range(transvections):
+        v = pairs[:, k, :m]
+        v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        c = 0.3 * pairs[:, k, m]
+        M = M @ (np.eye(m) - c[:, None, None] * (v[:, :, None] * apply_J(v)[:, None, :]))
     return M
 
 

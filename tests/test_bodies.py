@@ -226,6 +226,17 @@ def test_largest_ball_in_cylinder_identity_and_flags():
     assert bd.largest_ball_in_cylinder(np.eye(4), flat) == np.inf
 
 
+def test_largest_ball_in_cylinder_on_a_stack():
+    cyl = bd.aw_cylinder_gw(0.6)
+    stack = np.array([matrix_S(d1, 1.5 / d1) for d1 in (0.5, 1.0, 2.0)]).reshape(3, 1, 4, 4)
+    radii = bd.largest_ball_in_cylinder(stack, cyl)
+    assert radii.shape == (3, 1)
+    for k in range(3):
+        assert radii[k, 0] == bd.largest_ball_in_cylinder(stack[k, 0], cyl)
+    flat = bd.QuadCylinder(np.zeros((4, 4)), 1.0)
+    assert np.all(bd.largest_ball_in_cylinder(stack, flat) == np.inf)
+
+
 def test_largest_ball_in_cylinder_vs_membership_sampling():
     rng = np.random.default_rng(21)
     t = 0.5

@@ -1,9 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from symcap import bodies as bd
 from symcap import bounds as bn
-from symcap.symcore import symplectic_form
+from symcap.symcore import random_symplectic_matrix, symplectic_form
 
 
 # ------------------------------------------------------------- formulas
@@ -80,6 +82,25 @@ def test_solve_embedding_orbit_cylinder_matches():
         bn.solve_embedding(0.5, cylinder="bogus")
 
 
+def test_containment_radii_on_a_stack_match_scalar_calls():
+    cyl = bd.aw_cylinder_gw(0.4)
+    d1 = np.array([0.4, 1.0, 2.5])
+    stack = bn.matrix_S(d1, 2.0 / d1)
+    r_ball, r_cyl = bn._containment_radii(stack, cyl)
+    assert r_ball.shape == r_cyl.shape == (3,)
+    for k in range(3):
+        assert (r_ball[k], r_cyl[k]) == bn._containment_radii(stack[k], cyl)
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_solve_embedding_fallback_cross_checks_main_path(t, monkeypatch):
+    main = bn.solve_embedding(t).capacity
+    # without the equalization root, the grid + L-BFGS fallback answers
+    monkeypatch.setattr(bn, "_polish_equalized", lambda *args: None)
+    ascent = bn.solve_embedding(t).capacity
+    assert main - 1e-4 <= ascent <= main + 1e-7
+
+
 # ---------------------------------------------------------- linear search
 
 
@@ -95,6 +116,25 @@ def test_linear_search_small_budget_no_improvement():
     assert out["improvements_over_1e-4"] == 0
     # nothing beats the upper bound t itself
     assert out["max_seen"] <= 0.5 + 1e-9
+
+
+def test_linear_search_matches_scalar_sampler_loop(monkeypatch):
+    # a family value below most samples exercises every counter
+    monkeypatch.setattr(bn, "solve_embedding", lambda t: SimpleNamespace(capacity=0.25))
+    out = bn.linear_search(0.5, budget=400, seed=9)
+    cyl = bd.aw_cylinder_gw(0.5)
+    rng = np.random.default_rng(9)
+    vals = [min(bn._containment_radii(random_symplectic_matrix(2, rng), cyl))
+            for _ in range(400)]
+    assert out["max_seen"] == out["best"] == pytest.approx(max(vals), abs=1e-14)
+    assert out["best_is_family"] is False
+    assert out["improvements_over_1e-4"] == sum(v > 0.25 + 1e-4 for v in vals) > 0
+
+
+@pytest.mark.parametrize("budget", [10.0, -1, "100", None])
+def test_linear_search_rejects_bad_budget(budget):
+    with pytest.raises(ValueError, match="budget"):
+        bn.linear_search(0.5, budget=budget)
 
 
 # ------------------------------------------------------------ subspaces
@@ -209,6 +249,14 @@ def test_area_feasibility_middle_inequality_fails_in_corner():
     assert row["disc_le_repaired"] and row["repaired_le_exact"]
     with pytest.raises(AssertionError):
         bn.area_feasibility(0.9, [0.95], strict=True)
+
+
+@pytest.mark.parametrize("t, h", [(0.5, np.nan), (0.5, np.inf), (np.nan, 0.2), (-np.inf, 0.2)])
+def test_area_functions_reject_non_finite_input(t, h):
+    with pytest.raises(ValueError, match="must be finite"):
+        bn.area_exact_Sh(t, h)
+    with pytest.raises(ValueError, match="must be finite"):
+        bn.area_feasibility(t, [0.1, h])
 
 
 def test_area_feasibility_h_range_validation():

@@ -51,6 +51,20 @@ def test_ehz_json_to_stdout_parses(capsys):
     assert "capacity" in captured.err
 
 
+def test_ehz_csv_to_stdout_parses_and_differs_from_json(capsys):
+    argv = ["ehz", "--body", "ball4", "--n-samples", "64", "--restarts", "2"]
+    assert run(argv + ["--format", "csv"]) == 0
+    csv_out = capsys.readouterr()
+    assert run(argv + ["--format", "json"]) == 0
+    json_out = capsys.readouterr()
+    header, *rows = csv_out.out.splitlines()
+    assert header == "t,x1,y1,x2,y2"
+    assert len(rows) == 64
+    assert all(len([float(x) for x in row.split(",")]) == 5 for row in rows)
+    assert "capacity" in csv_out.err
+    assert csv_out.out != json_out.out
+
+
 def test_orbits_summary_minus_branch(tmp_path, capsys):
     code = run(["orbits", "--t", "0.25", "--samples", "4", "--out", str(tmp_path)])
     out = capsys.readouterr().out

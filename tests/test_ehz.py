@@ -161,6 +161,17 @@ def test_symplectic_invariance():
         assert cM == pytest.approx(c0, rel=0.04)
 
 
+def test_estimate_bounds_ellipsoid_oracle_from_above():
+    # the estimate is the exact ratio of an admissible loop, so it can only
+    # sit above c_EHZ (up to support-evaluation error)
+    rng = np.random.default_rng(13)
+    for _ in range(12):
+        base = bd.EllipsoidBody.from_radii(rng.uniform(0.2, 2.0, size=2))
+        body = base.linear_image(random_symplectic_matrix(2, rng))
+        est = ehz.ehz_capacity(body, N=64, restarts=2, seed=0).capacity
+        assert est >= bd.ellipsoid_ehz_oracle(body) - 1e-12
+
+
 def test_monotonicity_on_nested_bodies():
     inner = bd.CapacityBall(0.5, 2)
     middle = bd.EllipsoidBody.from_radii([1.0, 0.7])

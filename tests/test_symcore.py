@@ -188,6 +188,28 @@ def test_random_symplectic_matrix_is_symplectic():
         assert sc.is_symplectic(sc.random_symplectic_matrix(2, rng), 1e-8)
 
 
+def test_random_symplectic_matrices_follow_the_scalar_stream():
+    rng_scalar, rng_stack = np.random.default_rng(11), np.random.default_rng(11)
+    scalar = np.array([sc.random_symplectic_matrix(2, rng_scalar) for _ in range(1000)])
+    stack = sc.random_symplectic_matrices(2, rng_stack, 1000)
+    assert stack.shape == (1000, 4, 4)
+    assert np.max(np.abs(stack - scalar)) <= 1e-14
+    assert rng_stack.bit_generator.state == rng_scalar.bit_generator.state
+    assert all(sc.is_symplectic(M) for M in stack)
+
+
+def test_matrix_S_stack_matches_scalar_calls():
+    d1 = np.array([0.5, 1.0, 3.0])
+    d2 = np.array([[2.0], [4.0]])
+    stack = sc.matrix_S(d1, d2)
+    assert stack.shape == (2, 3, 4, 4)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(stack[i, j], sc.matrix_S(d1[j], d2[i, 0]))
+    with pytest.raises(ValueError):
+        sc.matrix_S(d1, 1.0)  # d1 * d2 = 0.5 < 1 in the first entry
+
+
 def test_kahler_angle_datum_validation():
     n1, n2 = sc.gw_plane_normals(0.4)
     datum = sc.KahlerAngleDatum(n1, n2, eps=0.1)
