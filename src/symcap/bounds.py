@@ -14,8 +14,7 @@ evaluator for the epsilon-family upper bound.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq, minimize, root
+from scipy.optimize import brentq, minimize
 
 from . import bodies as bd
 from .ehz import ehz_capacity
@@ -103,19 +102,20 @@ def solve_embedding(t: float, cylinder: str = "gw") -> EmbeddingSolution:
     (d1, m = d1 d2 - 1) as one stacked linalg call.  The main path polishes
     the best grid point by the root of the two equalization conditions,
     equal containment radii and a disc-shaped shadow on the cylinder base
-    plane (a 1-D brentq along the disc-condition curve for the gw cylinder).
-    The root is kept when its disc gap is below 1e-8 and its value is at
-    least the grid maximum minus 1e-7.  Otherwise a four-start bounded
-    L-BFGS ascent from the best grid points, polished the same way, gives
-    the answer.  cylinder="orbit" switches to the corner-frame realization
-    of the same plane family.
+    plane: the shadow is a disc along the curve d2 - d1 = 2 kappa e, so one
+    1-D brentq along it finishes the job.  cylinder="gw" has
+    kappa = sqrt(1-t^2)/t; cylinder="orbit", the corner-frame realization
+    of the same plane family, has kappa = 0 (d1 = d2).  The root is kept
+    when its disc gap is below 1e-8 and its value is at least the grid
+    maximum minus 1e-7.  Otherwise a four-start bounded L-BFGS ascent from
+    the best grid points, polished the same way, gives the answer.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
     if cylinder == "gw":
-        cyl = bd.aw_cylinder_gw(t)
+        cyl, kappa = bd.aw_cylinder_gw(t), np.sqrt(1.0 - t * t) / t
     elif cylinder == "orbit":
-        cyl = bd.aw_cylinder_orbit(t)
+        cyl, kappa = bd.aw_cylinder_orbit(t), 0.0
     else:
         raise ValueError("cylinder must be 'gw' or 'orbit'")
     V = _cylinder_plane_basis(cyl)
@@ -129,7 +129,7 @@ def solve_embedding(t: float, cylinder: str = "gw") -> EmbeddingSolution:
     D1, M = np.meshgrid(d1_grid, m_grid, indexing="ij")
     vals = np.minimum(*_containment_radii(matrix_S(D1, (1.0 + M) / D1), cyl))
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    x = _polish_equalized(t, cyl, V, (d1_grid[i], m_grid[j]))
+    x = _polish_equalized(kappa, cyl, V, (d1_grid[i], m_grid[j]))
     if x is None or value(x) < vals[i, j] - 1e-7:
         # fallback: L-BFGS from the four best grid points, then the
         # polished optimum if it is within 1e-7 of the ascent's best
@@ -141,7 +141,7 @@ def solve_embedding(t: float, cylinder: str = "gw") -> EmbeddingSolution:
                            options={"maxiter": 500})
             if -res.fun > best_v:
                 best_v, best_x = -res.fun, res.x
-        x = _polish_equalized(t, cyl, V, best_x)
+        x = _polish_equalized(kappa, cyl, V, best_x)
         if x is None or value(x) < best_v - 1e-7:
             x = best_x
     d1, m = float(x[0]), float(max(x[1], 0.0))
@@ -155,46 +155,30 @@ def solve_embedding(t: float, cylinder: str = "gw") -> EmbeddingSolution:
                              singular_values=(float(s[0]), float(s[1])))
 
 
-def _disc_curve_point(t: float, e: float):
-    """(d1, d2) on the disc-condition curve d2 - d1 = 2 sqrt(1-t^2) e / t
-    with the coupling constraint e^2 = d1 d2 - 1; e = 0 gives the identity."""
-    s = np.sqrt(1.0 - t * t)
-    shift = s * e / t
+def _disc_curve_point(kappa: float, e: float):
+    """(d1, d2) on the disc-condition curve d2 - d1 = 2 kappa e with the
+    coupling constraint e^2 = d1 d2 - 1; e = 0 gives the identity."""
+    shift = kappa * e
     d1 = -shift + np.sqrt(shift * shift + 1.0 + e * e)
     return d1, d1 + 2.0 * shift
 
 
-def _polish_equalized(t: float, cyl, V, x0):
-    """Root of the two equalization conditions near a candidate optimum.
+def _polish_equalized(kappa: float, cyl, V, x0):
+    """Root of the two equalization conditions near a candidate x0 = (d1, m0).
 
-    Along the disc-condition curve of the gw cylinder the remaining
-    condition r_ball = r_cyl is one-dimensional and bracketed by brentq;
-    for other cylinders a two-dimensional quasi-Newton root is used.
-    Returns None unless the root found has a disc gap below 1e-8.
+    Along the disc-condition curve of slope kappa (see solve_embedding) the
+    remaining condition r_ball = r_cyl is one-dimensional.  Its gap starts
+    positive at the identity, where r_ball = 1 > t^2 = r_cyl; the bracket
+    [0, max(2 sqrt(m0), 1)] grows until the gap changes sign, and brentq
+    finds the root.  Returns (d1, m) at the root, or None when no sign
+    change is found or the root's disc gap is not below 1e-8.
     """
 
     def radii_gap_on_curve(e):
-        d1, d2 = _disc_curve_point(t, e)
-        S = matrix_S(d1, d2)
-        r_ball, r_cyl_val = _containment_radii(S, cyl)
-        return r_ball - r_cyl_val
+        r_ball, r_cyl = _containment_radii(matrix_S(*_disc_curve_point(kappa, e)), cyl)
+        return r_ball - r_cyl
 
-    def disc_gap(x):
-        d1, m = x
-        S = matrix_S(d1, (1.0 + m) / d1)
-        s = np.linalg.svd(V @ S, compute_uv=False)
-        return s[0] - s[1]
-
-    def radii_gap_raw(x):
-        d1, m = x
-        S = matrix_S(d1, max(1.0 + m, 1.0) / d1)
-        r_ball, r_cyl_val = _containment_radii(S, cyl)
-        return r_ball - r_cyl_val
-
-    # 1D path: bracket the radii gap along the disc curve (it starts
-    # positive at the identity, where r_ball = 1 > t^2 = r_cyl)
-    e0 = np.sqrt(max(x0[1], 0.0))
-    lo, hi = 0.0, max(2.0 * e0, 1.0)
+    lo, hi = 0.0, max(2.0 * np.sqrt(max(x0[1], 0.0)), 1.0)
     g_lo = radii_gap_on_curve(lo)
     g_hi = radii_gap_on_curve(hi)
     expand = 0
@@ -202,18 +186,12 @@ def _polish_equalized(t: float, cyl, V, x0):
         hi *= 1.7
         g_hi = radii_gap_on_curve(hi)
         expand += 1
-    if g_lo * g_hi <= 0.0:
-        e_star = brentq(radii_gap_on_curve, lo, hi, xtol=1e-15, rtol=1e-15)
-        d1, d2 = _disc_curve_point(t, e_star)
-        cand = np.array([d1, d1 * d2 - 1.0])
-        if abs(disc_gap(cand)) < 1e-8:
-            return cand
-    # generic cylinder: solve both conditions together
-    sol = root(lambda x: [radii_gap_raw(x), disc_gap(x)], x0,
-               method="hybr", tol=1e-13)
-    if sol.success and abs(disc_gap(sol.x)) < 1e-8:
-        return sol.x
-    return None
+    if g_lo * g_hi > 0.0:
+        return None
+    e_star = brentq(radii_gap_on_curve, lo, hi, xtol=1e-15, rtol=1e-15)
+    d1, d2 = _disc_curve_point(kappa, e_star)
+    s = np.linalg.svd(V @ matrix_S(d1, d2), compute_uv=False)
+    return np.array([d1, d1 * d2 - 1.0]) if abs(s[0] - s[1]) < 1e-8 else None
 
 
 def linear_search(t: float, budget: int, seed: int = 0) -> dict:
@@ -302,35 +280,48 @@ def _require_finite(name: str, value) -> None:
         raise ValueError("%s must be finite, got %r" % (name, value))
 
 
-def area_exact_Sh(t: float, h: float, tol: float = 1e-8) -> float:
-    """Area of S_h = R cap D(1-h) by adaptive quadrature.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+
+
+def area_exact_Sh(t: float, h):
+    """Area of S_h = R cap D(1-h) by a fixed-node quadrature.
 
     R is the region of the unit-area disc left of the right half-boundary
-    of the inscribed ellipse with axes t/sqrt(pi) and 1/sqrt(pi).
+    of the inscribed ellipse with axes t/sqrt(pi) and 1/sqrt(pi).  The
+    left half of D(1-h) contributes (1-h)/2; the right half contributes the
+    integral over y of the width min(ellipse, circle).  With y = rho sin(th),
+    rho = sqrt((1-h)/pi) <= 1/sqrt(pi), the integrand becomes
+    rho cos(th) min(t/sqrt(pi) sqrt(1 - pi rho^2 sin^2 th), rho cos th), free
+    of the square-root endpoint singularities.  It is even in th and each
+    branch of the min is smooth, so [0, pi/2] is split at the
+    ellipse-circle crossing th* and each piece gets 32-node Gauss-Legendre.
+    h may be a scalar (a float is returned) or an array (evaluated in one
+    pass).
     """
     _require_finite("t", t)
     _require_finite("h", h)
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
-    if h < 0.0 or h > (1.0 + t) / 2.0 + 1e-12:
+    h = np.asarray(h, dtype=float)
+    if np.any((h < 0.0) | (h > (1.0 + t) / 2.0 + 1e-12)):
         raise ValueError("h out of range [0, (1+t)/2]")
     p = t / np.sqrt(np.pi)
     q = 1.0 / np.sqrt(np.pi)
-    rho = np.sqrt(max(1.0 - h, 0.0) / np.pi)
-    if rho == 0.0:
-        return 0.0
-
-    def width(y):
-        inside_e = p * np.sqrt(max(1.0 - (y / q) ** 2, 0.0))
-        inside_d = np.sqrt(max(rho * rho - y * y, 0.0))
-        return min(inside_e, inside_d)
-
-    pts = None
-    if p < rho < q:
-        ystar = q * np.sqrt((rho * rho - p * p) / (q * q - p * p))
-        pts = [-ystar, ystar]
-    right, _ = quad(width, -rho, rho, points=pts, epsabs=tol / 4, epsrel=0.0, limit=400)
-    return 0.5 * (1.0 - h) + float(right)
+    a = np.maximum(1.0 - h, 0.0)
+    rho = np.sqrt(a / np.pi)
+    # sin^2 th*, clipped to 0 where the disc lies inside the ellipse (rho <= p)
+    s2 = q * q * (rho * rho - p * p) / (np.maximum(rho, p) ** 2 * (q * q - p * p))
+    th_star = np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
+    # nodes (..., piece, node) on [0, th*] and [th*, pi/2]
+    lo = np.stack([np.zeros_like(th_star), th_star], axis=-1)[..., None]
+    hi = np.stack([th_star, np.full_like(th_star, 0.5 * np.pi)], axis=-1)[..., None]
+    half = 0.5 * (hi - lo)
+    th = lo + half * (1.0 + _GL_X)
+    r = rho[..., None, None]
+    cos = np.cos(th)
+    width = np.minimum(p * np.sqrt(1.0 - (r / q * np.sin(th)) ** 2), r * cos)
+    area = 0.5 * a + 2.0 * np.sum(half * _GL_W * r * cos * width, axis=(-2, -1))
+    return float(area) if area.ndim == 0 else area
 
 
 def area_exact_Sh_sectors(t: float, h: float) -> float:
@@ -368,16 +359,16 @@ def area_feasibility(t: float, h_grid, tol: float = 1e-8, strict: bool = False) 
     h_grid = list(h_grid)
     _require_finite("t", t)
     _require_finite("h_grid", h_grid)
-    rows = []
     for h in h_grid:
         if h < -1e-12 or h > (1.0 + t) / 2.0 + 1e-12:
             raise ValueError("h=%g outside [0, (1+t)/2]" % h)
-        h = float(min(max(h, 0.0), (1.0 + t) / 2.0))
+    hs = np.clip(np.array(h_grid, dtype=float), 0.0, (1.0 + t) / 2.0)
+    rows = []
+    for h, exact in zip(hs.tolist(), area_exact_Sh(t, hs).tolist()):
         disc = (1.0 + t) / 2.0 - h
         s = np.sqrt(1.0 - h)
         lower = 0.5 * (1.0 - h) + 0.5 * t * s
         repaired = 0.5 * (1.0 - h) + 0.5 * min(t, s) * s
-        exact = area_exact_Sh(t, h, tol)
         row = {"h": h, "disc_area": disc, "lower_bound": lower, "exact_area": exact,
                "disc_le_lower": disc <= lower + tol,
                "lower_le_exact": lower <= exact + tol,
@@ -390,11 +381,6 @@ def area_feasibility(t: float, h_grid, tol: float = 1e-8, strict: bool = False) 
             assert row["lower_le_exact"], "printed bound exceeds exact area at h=%g" % h
         rows.append(row)
     return rows
-
-
-def smallest_support_width(M: np.ndarray) -> float:
-    """lambda(M B^{2n}(1)): the smallest semi-axis of the ellipsoid image."""
-    return bd.EllipsoidBody.from_linear_image(M).smallest_width()
 
 
 def family_upper_bound(t: float, eps: float, L: float, N: int = 192,
@@ -411,9 +397,8 @@ def family_upper_bound(t: float, eps: float, L: float, N: int = 192,
         raise ValueError("eps must be positive")
     if L <= 1.0:
         raise ValueError("L must exceed 1")
-    M = matrix_AL(L) @ matrix_Mt(t)
-    lam = smallest_support_width(M)
-    body = bd.EllipsoidBody.from_linear_image(M)
+    body = bd.EllipsoidBody.from_linear_image(matrix_AL(L) @ matrix_Mt(t))
+    lam = body.smallest_width()
     est = ehz_capacity(body, N=N, restarts=restarts, seed=seed)
     oracle = bd.ellipsoid_ehz_oracle(body)
     prefactor = (1.0 + np.sqrt(2.0) * eps * L / lam) ** 2
@@ -428,12 +413,11 @@ def schedule_family_upper_bound(t: float, delta: float, seed: int = 0,
     if delta <= 0:
         raise ValueError("delta must be positive")
     for L in L_grid:
-        M = matrix_AL(L) @ matrix_Mt(t)
-        body = bd.EllipsoidBody.from_linear_image(M)
+        body = bd.EllipsoidBody.from_linear_image(matrix_AL(L) @ matrix_Mt(t))
         cap = bd.ellipsoid_ehz_oracle(body)
         if cap >= t + 0.75 * delta:
             continue
-        lam = smallest_support_width(M)
+        lam = body.smallest_width()
         # prefactor budget (1 + x)^2 cap <= t + delta, spent half-way to
         # leave room for optimizer error in the capacity estimate
         x = np.sqrt((t + delta) / cap) - 1.0

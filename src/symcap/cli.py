@@ -89,26 +89,27 @@ def _write(out_dir: Path | None, name: str, text: str) -> None:
 
 
 def cmd_ehz(args) -> int:
+    if args.format is not None and args.out:
+        raise UsageError("--format picks the document printed on stdout; "
+                         "--out writes both ehz.json and loop.csv, so drop one")
     spec = {"kind": args.body, "t": args.t, "r": args.r, "L": args.L,
             "radii": args.radii}
     body = _body_from_spec(spec)
     res = ehz.ehz_capacity(body, N=args.n_samples, restarts=args.restarts, seed=args.seed)
     config = {"command": "ehz", "ts": [args.t] if args.t is not None else [],
-              "N": args.n_samples, "restarts": args.restarts,
-              "seed": args.seed, "format": args.format}
+              "N": args.n_samples, "restarts": args.restarts, "seed": args.seed}
     report = {"config": config,
               "body": {k: v for k, v in spec.items() if v is not None}}
     report.update(res.to_json())
     docs = {"json": ("ehz.json", json.dumps(report, indent=2) + "\n"),
             "csv": ("loop.csv", res.loop.to_csv())}
-    out_dir = Path(args.out) if args.out else None
-    if out_dir is not None:
+    if args.out:
         for name, text in docs.values():
-            _write(out_dir, name, text)
+            _write(Path(args.out), name, text)
     elif args.format is not None:
         _write(None, *docs[args.format])
-    # with --format and no --out, stdout carries the document alone, so it parses
-    summary = sys.stderr if args.format is not None and out_dir is None else sys.stdout
+    # with --format, stdout carries the document alone, so it parses
+    summary = sys.stderr if args.format is not None else sys.stdout
     print("capacity ≈ %.4f  (N=%d, restarts=%d, seed=%d, converged=%s)"
           % (res.capacity, res.n_samples, res.restarts, res.seed, res.converged),
           file=summary)
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["csv", "json"],
-                   help="without --out: print loop.csv or the JSON report on stdout")
+                   help="print loop.csv or the JSON report on stdout (not with --out)")
     p.set_defaults(func=cmd_ehz)
 
     p = sub.add_parser("orbits", help="closed characteristic scan")

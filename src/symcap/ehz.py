@@ -255,16 +255,6 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
                      restart_log=restart_log)
 
 
-def ehz_ellipsoid_closed_form(radii) -> float:
-    """Capacity of the axis-aligned ellipsoid E(r_1, ..., r_n): min r_i."""
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0:
-        raise ValueError("need at least one capacity")
-    if np.any(radii <= 0):
-        raise ValueError("capacities must be positive")
-    return float(radii.min())
-
-
 def product2_capacity(c1: float, c2: float) -> float:
     """Capacity of the symplectic 2-product of two bodies: the minimum."""
     if c1 <= 0 or c2 <= 0:

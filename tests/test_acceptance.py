@@ -87,6 +87,9 @@ def test_criterion_10_area_feasibility_chain(criterion_10):
     # must lie in the corner 1-h < t^2.
     item = _report(criterion_10)
     assert item["passed"], item
+    assert item["measured"] == {"chain_failures": 0, "printed_failures_in_corner": 612,
+                                "printed_failures_outside_corner": 0,
+                                "disc_le_exact_failures": 0}
 
 
 def test_criterion_10_companion_end_to_end_feasibility(criterion_10):

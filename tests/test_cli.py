@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +42,7 @@ def test_ehz_writes_json_and_loop(tmp_path, capsys):
     assert code == 0
     doc = json.loads((tmp_path / "ehz.json").read_text())
     assert doc["N"] == 64 and doc["converged"]
+    assert doc["config"] == {"command": "ehz", "ts": [], "N": 64, "restarts": 2, "seed": 0}
     assert (tmp_path / "loop.csv").read_text().startswith("t,x1,y1,x2,y2")
 
 
@@ -173,6 +178,7 @@ def test_verify_wiring_and_exit_codes(tmp_path, monkeypatch, capsys):
     ["verify", "--n-samples", "64"],
     ["verify", "--restarts", "2"],
     ["verify", "--format", "json"],
+    ["ehz", "--body", "ball4", "--format", "csv", "--out", "unused"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     assert run(argv) == 1
@@ -192,3 +198,11 @@ def test_non_finite_numbers_rejected_naming_the_flag(argv, flag, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "argument %s: expected a finite number" % flag in err
+
+
+def test_package_import_leaves_scipy_integrate_out():
+    # no module of the package needs quadrature from scipy
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    code = ("import symcap.cli, symcap.verify, sys; "
+            "sys.exit(int('scipy.integrate' in sys.modules))")
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

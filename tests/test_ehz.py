@@ -216,11 +216,14 @@ def test_ball_minimizer_traces_a_circle():
 
 
 def test_ellipsoid_closed_form_and_product_rule():
-    assert ehz.ehz_ellipsoid_closed_form([1.0, 1.0]) == 1.0
-    assert ehz.ehz_ellipsoid_closed_form([1.0, 1.0, 0.3]) == 0.3
-    assert ehz.ehz_ellipsoid_closed_form([0.3, 0.7, 2.0]) == 0.3
+    def oracle(radii):
+        return bd.ellipsoid_ehz_oracle(bd.EllipsoidBody.from_radii(radii))
+
+    assert oracle([1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
+    assert oracle([1.0, 1.0, 0.3]) == pytest.approx(0.3, abs=1e-12)
+    assert oracle([0.3, 0.7, 2.0]) == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(ValueError):
-        ehz.ehz_ellipsoid_closed_form([])
+        bd.EllipsoidBody.from_radii([])
     assert ehz.product2_capacity(1.0, 0.4) == 0.4
     assert ehz.product2_capacity(0.2, 0.2) == 0.2
     assert ehz.product2_capacity(3.0, 1.0) == 1.0
