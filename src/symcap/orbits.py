@@ -6,15 +6,16 @@ corner stratum S1 cap S2.  Characteristics rotate rigidly on each stratum,
 so arcs are advanced in closed form.  Corner events are closed-form too:
 along an arc the inactive constraint is A + B cos ks + C sin ks (k = 2
 for the Hopf rotation on S1, k = 1 on S2), whose first upward root is an
-explicit arccos.  Action is accounted per arc as tau/2pi on S1 and
-(theta/2pi) t on S2; both strata split omega-orthogonally, so the arc
-formula agrees with the line integral exactly.
+explicit arccos.  So are the S2-then-S1 block map from a corner and
+the radii of the closed alternating orbits.  Action is accounted per arc
+as tau/2pi on S1 and (theta/2pi) t on S2; both strata split
+omega-orthogonally, so the arc formula agrees with the line integral
+exactly.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .symcore import apply_J
 
@@ -278,15 +279,6 @@ def hopf_projection_area(p, frame: OrbitFrame) -> float:
     return abs(np.pi * z1_sq - 0.5 * (1.0 - frame.t))
 
 
-def hopf_projection_shoelace(p, frame: OrbitFrame, m: int = 20000) -> float:
-    """Sampled-shadow oracle for hopf_projection_area."""
-    theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    pts = s1_flow(np.asarray(p, dtype=float), theta)
-    x = pts @ frame.jv1
-    y = pts @ frame.jv2
-    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - y * np.roll(x, -1))))
-
-
 def s2_transit_norms(alpha3: float, alpha4: float, t: float):
     """(|z1|^2, |z2|^2) at corner points over a cylinder characteristic.
 
@@ -308,6 +300,11 @@ def corner_rho_max(t: float) -> float:
     return 2.0 * np.sqrt((1.0 - t * t) / np.pi)
 
 
+def _corner_cos(t: float, rho: float) -> float:
+    """cos of the corner phase offset at radius rho: rho / corner_rho_max(t)."""
+    return rho * np.sqrt(np.pi) / (2.0 * np.sqrt(1.0 - t * t))
+
+
 def corner_state(t: float, rho: float, psi: float, frame: OrbitFrame | None = None) -> np.ndarray:
     """Corner point with (a3, a4) = rho (cos psi, sin psi), entering S2.
 
@@ -317,8 +314,7 @@ def corner_state(t: float, rho: float, psi: float, frame: OrbitFrame | None = No
     frame = frame or OrbitFrame.standard(t)
     if not 0.0 <= rho < corner_rho_max(t):
         raise ValueError("rho outside the admissible corner range")
-    cval = rho * np.sqrt(np.pi) / (2.0 * np.sqrt(1.0 - t * t))
-    aangle = np.arccos(np.clip(cval, -1.0, 1.0))
+    aangle = np.arccos(np.clip(_corner_cos(t, rho), -1.0, 1.0))
     phi = psi - aangle
     a = np.array([np.cos(phi) / np.sqrt(np.pi), np.sin(phi) / np.sqrt(np.pi),
                   rho * np.cos(psi), rho * np.sin(psi)])
@@ -397,70 +393,63 @@ def integrate_orbit(start, frame: OrbitFrame, max_arcs: int = 64,
     return CharacteristicOrbit(frame, arcs, closed)
 
 
-def block_map(t: float, rho: float, frame: OrbitFrame | None = None):
-    """One S2-then-S1 block from a corner entry at radius rho.
+def block_map(t: float, rho: float):
+    """One S2-then-S1 block from a corner entry at radius rho, in closed form.
 
     Returns (delta_psi, theta, tau): the net rotation of the (a3, a4)
-    phase and the two angular budgets.  By the anti-diagonal circle
-    symmetry of the body these depend on rho only.
+    phase and the two angular budgets; rho is preserved and, by the
+    anti-diagonal circle symmetry of the body, nothing depends on psi.
+    With b = 1 - 2t^2: theta = 2 arccos(rho / corner_rho_max(t)),
+    tau = arg(b - 2t^2 cos theta + 2i t sin theta) and
+    delta_psi = 2 pi - arg(b cos theta - 2t^2 + i sin theta) in (pi, 2 pi).
     """
-    frame = frame or OrbitFrame.standard(t)
-    p0 = corner_state(t, rho, 0.0, frame)
-    orbit = integrate_orbit(p0, frame, max_arcs=2, closure_tol=0.0)
-    if len(orbit.arcs) < 2 or orbit.regions[:2] != [S2, S1]:
-        raise RuntimeError("block integration did not produce an S2+S1 pair")
-    theta = orbit.arcs[0].angle
-    tau = orbit.arcs[1].angle
-    a = frame.oblique_coords(orbit.arcs[1].end)
-    delta_psi = float(np.arctan2(a[3], a[2])) % (2.0 * np.pi)
-    return delta_psi, theta, tau
+    if not 0.0 < t < 1.0:
+        raise ValueError("t must lie strictly between 0 and 1")
+    if not 0.0 < rho < corner_rho_max(t):
+        raise ValueError("rho must lie strictly between 0 and corner_rho_max(t)")
+    theta = 2.0 * np.arccos(_corner_cos(t, rho))
+    b = 1.0 - 2.0 * t * t
+    tau = np.arctan2(2.0 * t * np.sin(theta), b - 2.0 * t * t * np.cos(theta))
+    turn = np.arctan2(np.sin(theta), b * np.cos(theta) - 2.0 * t * t)
+    return float(2.0 * np.pi - turn), float(theta), float(tau)
 
 
 def find_closed_alternating_orbits(t: float, k_max: int = 8,
-                                   rho_samples: int = 160) -> list:
+                                   rho_samples: int | None = None) -> list:
     """Census of closed orbits alternating between S1 and S2.
 
-    The per-block phase advance delta_psi(rho) is scanned over the corner
-    radius; a k-block orbit closes when k * delta_psi is a multiple of
-    2 pi, located by bracketed root finding and confirmed by integration.
+    A k-block orbit closes when 2 pi - delta_psi = phi = 2 pi j / k with
+    0 < j < k/2, i.e. b sin(phi) cos(theta) - cos(phi) sin(theta) =
+    2t^2 sin(phi) (see block_map), which one arccos solves for theta; each
+    root is confirmed by integration.  Orbits come by k, then j descending,
+    then rho ascending.  Radii outside [1e-3, 1] * 0.995 corner_rho_max(t)
+    are left out, though mixed orbits exist there (k = 3 at 0.997
+    corner_rho_max(0.52)).  rho_samples is ignored.
     """
     frame = OrbitFrame.standard(t)
-    rho_hi = corner_rho_max(t) * 0.995
-    rhos = np.linspace(rho_hi * 1e-3, rho_hi, rho_samples)
-    psis = np.array([block_map(t, r, frame)[0] for r in rhos])
-    psis = np.unwrap(psis)
+    rho_max = corner_rho_max(t)
+    rho_hi = rho_max * 0.995
+    b = 1.0 - 2.0 * t * t
     orbits = []
-    seen = set()
     for k in range(1, k_max + 1):
-        targets = [2.0 * np.pi * m / k for m in range(-4 * k, 4 * k + 1)]
-        for target in targets:
-            g = psis - target
-            for i in range(len(rhos) - 1):
-                if g[i] == 0.0 or g[i] * g[i + 1] < 0.0:
-                    try:
-                        root = brentq(
-                            lambda r: _unwrapped_psi(t, r, frame, rhos, psis) - target,
-                            rhos[i], rhos[i + 1], xtol=1e-11)
-                    except ValueError:
-                        continue
-                    key = (k, round(root, 7))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    p0 = corner_state(t, root, 0.0, frame)
-                    orbit = integrate_orbit(p0, frame, max_arcs=2 * k + 1,
-                                            closure_tol=1e-6)
-                    if orbit.closed and orbit.is_mixed() and len(orbit.arcs) == 2 * k:
-                        orbits.append(orbit)
+        for j in range((k - 1) // 2, 0, -1):
+            phi = 2.0 * np.pi * j / k
+            ratio = 2.0 * t * t * np.sin(phi) / np.hypot(b * np.sin(phi), np.cos(phi))
+            if ratio > 1.0:
+                continue
+            lag = np.arctan2(np.cos(phi), b * np.sin(phi))
+            half = np.arccos(ratio)
+            for theta in sorted({(half - lag) % (2.0 * np.pi),
+                                 (-half - lag) % (2.0 * np.pi)}, reverse=True):
+                rho = np.cos(0.5 * theta) * rho_max
+                if not rho_hi * 1e-3 <= rho <= rho_hi:
+                    continue
+                p0 = corner_state(t, rho, 0.0, frame)
+                orbit = integrate_orbit(p0, frame, max_arcs=2 * k + 1,
+                                        closure_tol=1e-6)
+                if orbit.closed and orbit.is_mixed() and len(orbit.arcs) == 2 * k:
+                    orbits.append(orbit)
     return orbits
-
-
-def _unwrapped_psi(t, rho, frame, rho_grid, psi_grid):
-    """block_map phase lifted to the continuous branch of the scan."""
-    raw = block_map(t, rho, frame)[0]
-    ref = float(np.interp(rho, rho_grid, psi_grid))
-    k = round((ref - raw) / (2.0 * np.pi))
-    return raw + 2.0 * np.pi * k
 
 
 def min_action_scan(t: float, samples: int = 48, seed: int = 0,
@@ -471,6 +460,8 @@ def min_action_scan(t: float, samples: int = 48, seed: int = 0,
     from sampled starts, and any closed alternating orbits hit by the
     sampler; ties break lexicographically on the start coordinates.
     """
+    if not isinstance(samples, (int, np.integer)) or samples < 0:
+        raise ValueError("samples must be a nonnegative integer, got %r" % (samples,))
     frame = OrbitFrame.standard(t)
     found = [glide_orbit(t, PLUS)]
     if t < 0.5:

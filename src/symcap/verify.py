@@ -83,7 +83,7 @@ def criterion_5_alternating_bound(seed=0):
     ok = True
     margins = {}
     for t in (0.3, 0.45):
-        orbits = ob.find_closed_alternating_orbits(t, k_max=6, rho_samples=80)
+        orbits = ob.find_closed_alternating_orbits(t, k_max=6)
         if not orbits:
             ok = False
             margins[t] = "no closed mixed orbit found"

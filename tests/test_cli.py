@@ -200,6 +200,11 @@ def test_non_finite_numbers_rejected_naming_the_flag(argv, flag, capsys):
     assert "argument %s: expected a finite number" % flag in err
 
 
+def test_orbits_rejects_negative_samples(capsys):
+    assert run(["orbits", "--t", "0.3", "--samples", "-5"]) == 1
+    assert "samples" in capsys.readouterr().err
+
+
 def test_package_import_leaves_scipy_integrate_out():
     # no module of the package needs quadrature from scipy
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))

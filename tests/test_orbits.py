@@ -185,13 +185,22 @@ def test_hopf_projection_area_closed_forms(frame_half):
     assert ob.hopf_projection_area(p0, frame_half) == pytest.approx(0.0, abs=1e-12)
 
 
+def hopf_projection_shoelace(p, frame, m=20000):
+    """Sampled-shadow oracle for hopf_projection_area."""
+    theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    pts = ob.s1_flow(np.asarray(p, dtype=float), theta)
+    x = pts @ frame.jv1
+    y = pts @ frame.jv2
+    return 0.5 * abs(float(np.sum(x * np.roll(y, -1) - y * np.roll(x, -1))))
+
+
 def test_hopf_projection_area_vs_shoelace(frame_half):
     rng = np.random.default_rng(9)
     for _ in range(10):
         p = rng.normal(size=4)
         p /= np.linalg.norm(p) * np.sqrt(np.pi)
         closed = ob.hopf_projection_area(p, frame_half)
-        sampled = ob.hopf_projection_shoelace(p, frame_half)
+        sampled = hopf_projection_shoelace(p, frame_half)
         assert sampled == pytest.approx(closed, abs=1e-6 + 1e-4 * closed)
 
 
@@ -306,7 +315,7 @@ def test_integrate_events_are_first_crossings():
 def test_integrate_alternating_orbit_action_exceeds_t():
     t = 0.4
     f = ob.OrbitFrame.standard(t)
-    found = ob.find_closed_alternating_orbits(t, k_max=5, rho_samples=60)
+    found = ob.find_closed_alternating_orbits(t, k_max=5)
     assert found, "no closed alternating orbit located"
     for orbit in found:
         assert orbit.closed and orbit.is_mixed()
@@ -314,19 +323,47 @@ def test_integrate_alternating_orbit_action_exceeds_t():
         assert orbit.action == pytest.approx(orbit.line_integral_action(), abs=1e-7)
 
 
-def test_block_map_is_phase_equivariant():
-    t = 0.45
+@pytest.mark.parametrize("frac", [0.01, 0.4, 0.9, 0.999])
+@pytest.mark.parametrize("t", [0.2, 0.45, 0.7])
+def test_block_map_is_phase_equivariant(t, frac):
+    # the closed-form block against integrated S2 + S1 arcs from any phase
     f = ob.OrbitFrame.standard(t)
-    rho = 0.4
-    dpsi, theta, tau = ob.block_map(t, rho, f)
-    for psi in (0.9, 2.7):
+    rho = frac * ob.corner_rho_max(t)
+    dpsi, theta, tau = ob.block_map(t, rho)
+    assert np.pi < dpsi < 2 * np.pi
+    for psi in (0.0, 0.9, 2.7):
         p0 = ob.corner_state(t, rho, psi, f)
         orbit = ob.integrate_orbit(p0, f, max_arcs=2, closure_tol=0.0)
+        assert orbit.regions == [ob.S2, ob.S1]
         assert orbit.arcs[0].angle == pytest.approx(theta, abs=1e-9)
         assert orbit.arcs[1].angle == pytest.approx(tau, abs=1e-9)
         a = f.oblique_coords(orbit.arcs[1].end)
+        assert np.hypot(a[2], a[3]) == pytest.approx(rho, abs=1e-9)
         shift = (np.arctan2(a[3], a[2]) - psi) % (2 * np.pi)
-        assert shift == pytest.approx(dpsi, abs=1e-8)
+        assert shift == pytest.approx(dpsi, abs=1e-9)
+
+
+def test_block_map_rejects_radii_off_the_open_corner_range():
+    t = 0.45
+    for rho in (0.0, ob.corner_rho_max(t)):
+        with pytest.raises(ValueError, match="rho"):
+            ob.block_map(t, rho)
+
+
+@pytest.mark.parametrize("t, k_max, expected", [
+    (0.3, 6, [(3, 0.5479095368), (4, 0.6673975844), (5, 0.8816671763),
+              (5, 0.7191269901), (6, 0.7443307913)]),
+    (0.45, 6, [(3, 0.8200895767), (4, 0.9483864194), (5, 1.3245367125),
+               (5, 0.9718047528), (6, 0.9781169935)]),
+    # delta_psi is not monotone for t > 1/2, so one fraction has two roots
+    (0.6, 8, [(5, 1.7702101801), (5, 2.0381418518), (7, 2.3860312701),
+              (7, 3.0347805225), (8, 2.8962183142), (8, 3.0866551136)]),
+], ids=["0.3", "0.45", "0.6"])
+def test_alternating_census_is_pinned_in_order(t, k_max, expected):
+    found = ob.find_closed_alternating_orbits(t, k_max=k_max)
+    assert [len(o.arcs) // 2 for o in found] == [k for k, _ in expected]
+    for orbit, (_, action) in zip(found, expected):
+        assert orbit.action == pytest.approx(action, abs=1e-9)
 
 
 def test_small_circle_radius_bounds_theta_tilde():
@@ -369,6 +406,12 @@ def test_min_action_scan_returns_t():
     assert any(abs(a - 0.25 * (3 - 4 * 0.25 ** 2)) < 1e-9 for a in actions)
 
 
+@pytest.mark.parametrize("samples", [-1, 2.5])
+def test_min_action_scan_rejects_bad_sample_count(samples):
+    with pytest.raises(ValueError, match="samples"):
+        ob.min_action_scan(0.3, samples=samples)
+
+
 def test_minus_action_near_half_approaches_hopf_value():
     # at t just below 1/2 the minus-branch formula t(3-4t^2) tends to 1,
     # the action of a plain Hopf circle, and stays strictly above t, so
@@ -382,7 +425,7 @@ def test_minus_action_near_half_approaches_hopf_value():
 
 def test_orbit_actions_formula_equals_line_integral_on_closed():
     t = 0.45
-    found = ob.find_closed_alternating_orbits(t, k_max=4, rho_samples=50)
+    found = ob.find_closed_alternating_orbits(t, k_max=4)
     for orbit in found:
         assert abs(orbit.action - orbit.line_integral_action()) < 1e-7
 
