@@ -288,75 +288,74 @@ def ball_cap_cylinder_intersection(t: float, n: int = 2, r: float = 1.0) -> Inte
     return IntersectionBody(CapacityBall(r, n), cyl)
 
 
+def _reciprocal(x: np.ndarray) -> np.ndarray:
+    """1/x where x > 0, and 0 where x = 0."""
+    return np.divide(1.0, x, out=np.zeros_like(x), where=x > 0.0)
+
+
 class _IntersectionSupport:
     """Two-multiplier KKT dual for max <p,u> over ellipsoid and cylinder.
 
     Whitening with Q^{1/2} turns the ellipsoid constraint into the unit
     ball; the cylinder becomes y^T D y <= c in the eigenbasis of the
-    whitened form.  With at most one distinct positive eigenvalue the
-    active-set system is closed form, otherwise the multiplier ratio is
-    found by bracketing and brentq on the constraint residual.
+    whitened form, with the null directions of D first (eigh sorts them
+    there).  With at most one distinct positive eigenvalue the active-set
+    system is closed form, otherwise the multiplier ratio is found by
+    bracketing and brentq on the constraint residual.
     """
 
     def __init__(self, ellipsoid: EllipsoidBody, cylinder: QuadCylinder):
         w, V = np.linalg.eigh(ellipsoid.Q)
-        self._sqrtQ = (V * np.sqrt(w)) @ V.T
-        Cw = self._sqrtQ @ cylinder.C @ self._sqrtQ
-        d, E = np.linalg.eigh(Cw)
+        sqrtQ = (V * np.sqrt(w)) @ V.T
+        d, E = np.linalg.eigh(sqrtQ @ cylinder.C @ sqrtQ)
         d = np.maximum(d, 0.0)
         self._d = d
-        self._E = E
+        # u -> whitened eigen-coefficients, and their maximizer y -> p
+        self._to_coeff = sqrtQ @ E
+        self._to_point = E.T @ sqrtQ
         self._c = cylinder.level
-        cut = _RANGE_TOL * max(1.0, d[-1])
-        self._null = d <= cut
-        pos = d[~self._null]
+        self._k = int(np.sum(d <= _RANGE_TOL * max(1.0, d[-1])))
+        self._null_col = np.arange(d.size) < self._k
+        pos = d[self._k:]
         self._dplus = float(pos[0]) if pos.size else 0.0
         self._uniform = pos.size == 0 or np.ptp(pos) <= 1e-10 * pos[-1]
 
+    def _split(self, U: np.ndarray):
+        """Whitened eigen-coefficients of the rows of U and their squared
+        norms a on the null directions and b on the range directions."""
+        coeff = U @ self._to_coeff
+        null, span = coeff[:, :self._k], coeff[:, self._k:]
+        return coeff, np.einsum("ij,ij->i", null, null), np.einsum("ij,ij->i", span, span)
+
     def solve(self, U: np.ndarray, smooth: float = 0.0):
-        # work in whitened coordinates: w = Q^{1/2} u, y on the unit ball
-        W = U @ self._sqrtQ
-        coeff = W @ self._E
-        c = self._c
-        d = self._d
-        a = np.sum(coeff[:, self._null] ** 2, axis=1)
-        b = np.sum(coeff[:, ~self._null] ** 2, axis=1)
-        h = np.empty(U.shape[0])
-        Y = np.empty_like(W)
-        if self._uniform:
-            dp = self._dplus
-            T2 = min(c / dp, 1.0) if dp > 0 else 1.0
-            T = np.sqrt(T2)
-            ball_only = (1.0 - T2) * b <= T2 * a
-            both = ~ball_only
-            norm = np.sqrt(a + b)
-            safe = np.where(norm > 0, norm, 1.0)
-            h[ball_only] = norm[ball_only]
-            Y[ball_only] = coeff[ball_only] / safe[ball_only, None]
-            if np.any(both):
-                kap = smooth * smooth * (a[both] + b[both])
-                sa = np.sqrt(a[both] + kap)
-                sb = np.sqrt(b[both] + kap)
-                h[both] = np.sqrt(1.0 - T2) * sa + T * sb
-                # gradient weights of the (possibly rounded) two-term form,
-                # treating kap's own dependence on (a, b) as well
-                s2 = smooth * smooth
-                dh_da = np.sqrt(1.0 - T2) * (1.0 + s2) / (2.0 * sa) + T * s2 / (2.0 * sb)
-                dh_db = np.sqrt(1.0 - T2) * s2 / (2.0 * sa) + T * (1.0 + s2) / (2.0 * sb)
-                Yb = np.zeros((int(both.sum()), W.shape[1]))
-                Yb[:, self._null] = (2.0 * dh_da)[:, None] * coeff[np.ix_(both, self._null)]
-                Yb[:, ~self._null] = (2.0 * dh_db)[:, None] * coeff[np.ix_(both, ~self._null)]
-                Y[both] = Yb
-        else:
+        coeff, a, b = self._split(U)
+        if not self._uniform:
+            h = np.empty(U.shape[0])
+            Y = np.empty_like(coeff)
             for i in range(U.shape[0]):
                 h[i], Y[i] = self._solve_general(coeff[i], a[i], b[i])
-        P = Y @ self._E.T @ self._sqrtQ
-        zero = np.linalg.norm(U, axis=1) == 0.0
-        if np.any(zero):
-            P[zero] = 0.0
-            h[zero] = 0.0
-        # h in whitened frame equals <y, w>, which is <p, u> exactly
-        return h, P
+            # h in whitened frame equals <y, w>, which is <p, u> exactly
+            return h, Y @ self._to_point
+        dp = self._dplus
+        T2 = min(self._c / dp, 1.0) if dp > 0 else 1.0
+        T, R = np.sqrt(T2), np.sqrt(1.0 - T2)
+        # ball only: y = coeff / |coeff|.  Both active: y splits into
+        # R * (null part) / sqrt(a) and T * (range part) / sqrt(b), rounded
+        # at smooth > 0; its weights are the gradient of h in (a, b),
+        # kap's own dependence on (a, b) included.  A zero part gets weight
+        # 0, which is a maximizer there too.
+        norm = np.sqrt(a + b)
+        s2 = smooth * smooth
+        kap = s2 * (a + b)
+        sa = np.sqrt(a + kap)
+        sb = np.sqrt(b + kap)
+        ia, ib, inorm = _reciprocal(sa), _reciprocal(sb), _reciprocal(norm)
+        ball_only = (1.0 - T2) * b <= T2 * a
+        h = np.where(ball_only, norm, R * sa + T * sb)
+        w_null = np.where(ball_only, inorm, R * (1.0 + s2) * ia + T * s2 * ib)
+        w_range = np.where(ball_only, inorm, R * s2 * ia + T * (1.0 + s2) * ib)
+        weight = np.where(self._null_col, w_null[:, None], w_range[:, None])
+        return h, (weight * coeff) @ self._to_point
 
     def _solve_general(self, w, a, b):
         d, c = self._d, self._c

@@ -201,11 +201,42 @@ def test_kkt_general_path_agrees_with_closed_form():
     for _ in range(40):
         u = rng.normal(size=4)
         h_closed, _ = solver.solve(u[None, :])
-        w = (u @ solver._sqrtQ) @ solver._E
-        a = float(np.sum(w[solver._null] ** 2))
-        b = float(np.sum(w[~solver._null] ** 2))
-        h_general, _ = solver._solve_general(w, a, b)
+        w, a, b = solver._split(u[None, :])
+        h_general, _ = solver._solve_general(w[0], a[0], b[0])
         assert h_general == pytest.approx(h_closed[0], abs=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.7])
+def test_closed_form_kernel_matches_general_path_on_random_directions(t):
+    # the mask-free closed form against the multiplier root solve: same
+    # value everywhere, same maximizer wherever it is unique (a > 0)
+    solver = bd.ball_cap_cylinder_intersection(t)._solver
+    U = np.random.default_rng(15).normal(size=(200, 4))
+    h, P = solver.solve(U)
+    W, a, b = solver._split(U)
+    for i in range(len(U)):
+        h_general, y = solver._solve_general(W[i], a[i], b[i])
+        assert h[i] == pytest.approx(h_general, abs=1e-12)
+        if a[i] > 0:
+            np.testing.assert_allclose(P[i], y @ solver._to_point, atol=1e-10)
+
+
+@pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
+def test_closed_form_kernel_on_face_null_and_zero_directions(t):
+    # exact face directions can have a = 0 exactly: the null part of the
+    # maximizer must then be 0, not 0 * inf
+    body = bd.ball_cap_cylinder_intersection(t)
+    f = OrbitFrame.standard(t)
+    U = np.array([f.jv1, f.jv2, f.jn1, np.zeros(4)])
+    h, P = body.support_batch(U)
+    assert np.all(np.isfinite(h)) and np.all(np.isfinite(P))
+    for p in P:
+        assert body.membership(p, 1e-9)
+    np.testing.assert_allclose(h, np.einsum("ij,ij->i", P, U), atol=1e-12)
+    assert h[3] == 0.0 and np.all(P[3] == 0.0)
+    # the rounded gradient rows stay finite too
+    h, P = body.support_batch(U, smooth=1e-4)
+    assert np.all(np.isfinite(h)) and np.all(np.isfinite(P))
 
 
 # -------------------------------------------------------- ball fitting

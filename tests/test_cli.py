@@ -135,6 +135,19 @@ def test_determinism_identical_outputs(tmp_path, capsys):
     assert (a / "loop.csv").read_bytes() == (b / "loop.csv").read_bytes()
 
 
+def test_ehz_json_on_the_ladder_repeats_byte_for_byte(capsys):
+    argv = ["ehz", "--body", "intersection", "--t", "0.5", "--n-samples", "128",
+            "--restarts", "2", "--format", "json"]
+    outs = []
+    for _ in range(2):
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    doc = json.loads(outs[0])
+    assert [rec["N"] for rec in doc["polish"]] == [128]
+    assert all("grad_norm" in rec for rec in doc["restart_log"])
+
+
 def test_unknown_subcommand_exits_one(capsys):
     assert run(["frobnicate"]) == 1
     capsys.readouterr()

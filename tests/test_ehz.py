@@ -98,16 +98,18 @@ def test_intersection_capacity_small_run():
     # smoothing continuation: no higher than the single-level descent's
     # 0.5001037608 at about a fifth of its 9.8k objective evaluations
     assert res.capacity <= 0.5001037608 + 1e-6
-    assert sum(rec["nfev"] for rec in res.restart_log) <= 2000
+    assert sum(rec["nfev"] for rec in res.restart_log + res.polish) <= 2000
     assert [rec["value"] for rec in res.restart_log] == res.history
 
 
 def test_restart_agreement_counts_restarts_at_the_best_value():
-    # at t = 0.75 three of eight restarts stall at the Hopf value 1.00005
+    # the restarts run at N0 = 64, where three of eight at t = 0.75 stall
+    # at the Hopf circle's polygon value ((pi/64) / sin(pi/64))^2
     res = ehz.ehz_capacity(bd.ball_cap_cylinder_intersection(0.75), N=256,
                            restarts=8, seed=0)
+    hopf = ((np.pi / 64) / np.sin(np.pi / 64)) ** 2
     assert res.restart_agreement == 5
-    assert sum(abs(h - 1.00005) < 1e-4 for h in res.history) == 3
+    assert sum(abs(h - hopf) < 1e-4 for h in res.history) == 3
     assert res.to_json()["restart_agreement"] == 5
 
 
@@ -132,6 +134,62 @@ def test_capacity_invalid_parameters():
         ehz.ehz_capacity(ball, N=8)
     with pytest.raises(ValueError):
         ehz.ehz_capacity(ball, restarts=0)
+
+
+@pytest.mark.parametrize("kwargs, name", [({"N": 64.0}, "N"), ({"N": 64.5}, "N"),
+                                          ({"N": float("nan")}, "N"), ({"N": "64"}, "N"),
+                                          ({"N": True}, "N"), ({"restarts": 2.5}, "restarts")])
+def test_capacity_rejects_non_integer_counts(kwargs, name):
+    with pytest.raises(ValueError, match="^%s must be an integer" % name):
+        ehz.ehz_capacity(bd.CapacityBall(1.0, 2), **kwargs)
+
+
+def test_capacity_accepts_numpy_integer_counts():
+    res = ehz.ehz_capacity(bd.CapacityBall(1.0, 2), N=np.int64(32), restarts=np.int32(1))
+    assert res.n_samples == 32 and res.restarts == 1
+    assert type(res.n_samples) is int and type(res.restarts) is int
+
+
+# ------------------------------------------------------------- N ladder
+
+
+def _ratio(v, body):
+    return ehz._ratio_and_grad(v.ravel(), body, v.shape[0], v.shape[1])[0]
+
+
+def test_repeated_velocities_keep_the_exact_ratio():
+    # the ladder's premise: repeating each velocity traces the same
+    # piecewise-linear loop at 2N, so its exact ratio is unchanged
+    rng = np.random.default_rng(21)
+    image = bd.EllipsoidBody.from_radii([1.0, 0.4]).linear_image(
+        random_symplectic_matrix(2, rng))
+    for body in (bd.CapacityBall(1.0, 2), image, bd.ball_cap_cylinder_intersection(0.5)):
+        for N in (64, 128):
+            v = ehz._fourier_start(rng, N, 4)
+            coarse = _ratio(v, body)
+            assert _ratio(np.repeat(v, 2, axis=0), body) == pytest.approx(coarse, rel=1e-13)
+
+
+@pytest.mark.parametrize("N, rungs", [(64, []), (96, []), (127, []), (130, [130]),
+                                      (128, [128]), (192, [192]), (256, [128, 256])])
+def test_ladder_polishes_once_per_doubling_from_the_coarse_level(N, rungs):
+    res = ehz.ehz_capacity(bd.CapacityBall(1.0, 2), N=N, restarts=2, seed=0)
+    assert [rec["N"] for rec in res.polish] == rungs
+    assert res.n_samples == N and res.loop.n_samples == N
+    assert res.capacity == pytest.approx(_ratio(res.loop.velocities, bd.CapacityBall(1.0, 2)),
+                                         rel=1e-12)
+    for rec in res.polish:
+        assert set(rec) == {"N", "nit", "nfev", "message"}
+
+
+def test_ladder_estimate_is_no_worse_than_its_best_restart():
+    # the polished loop starts from the best coarse loop at the same ratio,
+    # and the descent does not climb on the exact ratio
+    body = bd.ball_cap_cylinder_intersection(0.5)
+    res = ehz.ehz_capacity(body, N=256, restarts=4, seed=0)
+    assert res.capacity <= min(res.history) + 1e-12
+    assert [rec["N"] for rec in res.polish] == [128, 256]
+    assert res.converged
 
 
 def test_capacity_deterministic_given_seed():
@@ -278,8 +336,11 @@ def test_result_json_and_loop_csv():
     res = ehz.ehz_capacity(bd.CapacityBall(1.0, 2), N=64, restarts=2, seed=10)
     doc = res.to_json()
     assert set(doc) == {"capacity", "N", "restarts", "seed", "converged",
-                        "grad_norm", "history", "restart_agreement", "restart_log"}
-    assert set(doc["restart_log"][0]) == {"value", "nit", "nfev", "stages", "message"}
+                        "grad_norm", "history", "restart_agreement", "restart_log",
+                        "polish"}
+    assert set(doc["restart_log"][0]) == {"value", "nit", "nfev", "stages", "message",
+                                          "grad_norm"}
+    assert doc["polish"] == []
     csv = res.loop.to_csv()
     header = csv.splitlines()[0]
     assert header == "t,x1,y1,x2,y2"
