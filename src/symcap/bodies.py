@@ -318,7 +318,7 @@ class _IntersectionSupport:
         self._null_col = np.arange(d.size) < self._k
         pos = d[self._k:]
         self._dplus = float(pos[0]) if pos.size else 0.0
-        self._uniform = pos.size == 0 or np.ptp(pos) <= 1e-10 * pos[-1]
+        self._uniform = bool(pos.size == 0 or np.ptp(pos) <= 1e-10 * pos[-1])
 
     def _split(self, U: np.ndarray):
         """Whitened eigen-coefficients of the rows of U and their squared

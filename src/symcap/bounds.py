@@ -4,17 +4,17 @@ Three lower bounds for the capacity-t domain: the trivial ball of
 capacity t^2, the inradius ball t/(1+sqrt(1-t^2)), and the optimized
 two-parameter family value
 
-    f(t) = sqrt(2 (1/t^2 - 1)(sqrt(1-t^2) - 1) + 1),
+    f(t) = sqrt(2 (1/t^2 - 1)(s - 1) + 1) = t sqrt(1+2s)/(1+s),  s = sqrt(1-t^2),
 
-which satisfies t - 0.07 <= f(t) < t.  The module also carries the planar
-area-feasibility checks behind the single-plane capacity (1+t)/2 and an
-evaluator for the epsilon-family upper bound.
+which solve_embedding attains in closed form and which satisfies
+t - 0.07 <= f(t) < t.  The module also carries the planar area-feasibility
+checks behind the single-plane capacity (1+t)/2 and an evaluator for the
+epsilon-family upper bound.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize
 
 from . import bodies as bd
 from .ehz import ehz_capacity
@@ -26,13 +26,19 @@ from .symcore import random_symplectic_matrix  # noqa: F401
 
 
 def bound_f(t: float) -> float:
-    """The optimized lower bound f(t); real on all of (0, 1)."""
+    """The optimized lower bound f(t) = sqrt(2 (1/t^2 - 1)(s - 1) + 1),
+    s = sqrt(1-t^2): the optimum of the (d1, d2) family.  On its disc curve
+    (see solve_embedding) the containment radii are r_ball = x and
+    r_cyl = 2 t^2 x / ((1-s) + (1+s) x^2); they are equal at x = f(t).
+
+    Evaluated as t sqrt(1+2s)/(1+s), the same number without the
+    cancellation of the printed form, so it keeps full relative precision
+    and satisfies t^2, t/(1+s) <= f(t) < t on all of (0, 1).
+    """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
-    radicand = 2.0 * (1.0 / (t * t) - 1.0) * (np.sqrt(1.0 - t * t) - 1.0) + 1.0
-    if radicand <= 0.0:
-        raise ValueError("radicand vanished unexpectedly at t=%g" % t)
-    return float(np.sqrt(radicand))
+    s = np.sqrt(1.0 - t * t)
+    return float(t * np.sqrt(1.0 + 2.0 * s) / (1.0 + s))
 
 
 def bound_simple(t: float) -> float:
@@ -98,57 +104,33 @@ class EmbeddingSolution:
 def solve_embedding(t: float, cylinder: str = "gw") -> EmbeddingSolution:
     """Maximize the ball capacity fitting both constraints over (d1, d2).
 
-    The objective min(r_ball, r_cyl) is evaluated on a 36 x 48 grid in
-    (d1, m = d1 d2 - 1) as one stacked linalg call.  The main path polishes
-    the best grid point by the root of the two equalization conditions,
-    equal containment radii and a disc-shaped shadow on the cylinder base
-    plane: the shadow is a disc along the curve d2 - d1 = 2 kappa e, so one
-    1-D brentq along it finishes the job.  cylinder="gw" has
-    kappa = sqrt(1-t^2)/t; cylinder="orbit", the corner-frame realization
-    of the same plane family, has kappa = 0 (d1 = d2).  The root is kept
-    when its disc gap is below 1e-8 and its value is at least the grid
-    maximum minus 1e-7.  Otherwise a four-start bounded L-BFGS ascent from
-    the best grid points, polished the same way, gives the answer.
+    The optimum lies on the disc curve d2 - d1 = 2 kappa e (e^2 = d1 d2 - 1),
+    where the shadow of S B^4 on the cylinder base plane is a disc;
+    cylinder="gw" has kappa = sqrt(1-t^2)/t, and cylinder="orbit", the
+    corner-frame realization of the same plane family, has kappa = 0
+    (d1 = d2).  With s = sqrt(1-t^2), g = e sqrt(1+kappa^2) and
+    x = (sqrt(1+g^2) - g)^2, both containment radii are explicit there:
+
+        r_ball = x,    r_cyl = 2 t^2 x / ((1-s) + (1+s) x^2).
+
+    They are equal where x^2 = (1-s)(1+2s)/(1+s), that is at x = f(t), and
+    min(r_ball, r_cyl) peaks there on the curve: r_ball = x falls in e and
+    r_cyl rises up to the crossing.  Inverting x gives
+    e* = (x^(-1/2) - x^(1/2)) / (2 sqrt(1+kappa^2)); the radii and disc
+    singular values returned are evaluated on S(d1, d2) at that point.
     """
-    if not 0.0 < t < 1.0:
-        raise ValueError("t must lie strictly between 0 and 1")
+    x = bound_f(t)
     if cylinder == "gw":
         cyl, kappa = bd.aw_cylinder_gw(t), np.sqrt(1.0 - t * t) / t
     elif cylinder == "orbit":
         cyl, kappa = bd.aw_cylinder_orbit(t), 0.0
     else:
         raise ValueError("cylinder must be 'gw' or 'orbit'")
-    V = _cylinder_plane_basis(cyl)
-
-    def value(x):
-        d1, m = x
-        return min(_containment_radii(matrix_S(d1, (1.0 + m) / d1), cyl))
-
-    d1_grid = np.geomspace(0.15, 6.0, 36)
-    m_grid = np.linspace(0.0, 12.0, 48)
-    D1, M = np.meshgrid(d1_grid, m_grid, indexing="ij")
-    vals = np.minimum(*_containment_radii(matrix_S(D1, (1.0 + M) / D1), cyl))
-    i, j = np.unravel_index(np.argmax(vals), vals.shape)
-    x = _polish_equalized(kappa, cyl, V, (d1_grid[i], m_grid[j]))
-    if x is None or value(x) < vals[i, j] - 1e-7:
-        # fallback: L-BFGS from the four best grid points, then the
-        # polished optimum if it is within 1e-7 of the ascent's best
-        best_x, best_v = None, -np.inf
-        for k in np.argsort(vals, axis=None)[::-1][:4]:
-            i, j = np.unravel_index(k, vals.shape)
-            res = minimize(lambda x: -value(x), (d1_grid[i], m_grid[j]), method="L-BFGS-B",
-                           bounds=[(1e-3, 50.0), (0.0, 200.0)],
-                           options={"maxiter": 500})
-            if -res.fun > best_v:
-                best_v, best_x = -res.fun, res.x
-        x = _polish_equalized(kappa, cyl, V, best_x)
-        if x is None or value(x) < best_v - 1e-7:
-            x = best_x
-    d1, m = float(x[0]), float(max(x[1], 0.0))
-    d2 = (1.0 + m) / d1
+    e = (1.0 / np.sqrt(x) - np.sqrt(x)) / (2.0 * np.sqrt(1.0 + kappa * kappa))
+    d1, d2 = map(float, _disc_curve_point(kappa, e))
     S = matrix_S(d1, d2)
     r_ball, r_cyl = _containment_radii(S, cyl)
-    s = np.linalg.svd(V @ S, compute_uv=False)
+    s = np.linalg.svd(_cylinder_plane_basis(cyl) @ S, compute_uv=False)
     return EmbeddingSolution(t=t, d1=d1, d2=d2,
                              capacity=float(min(r_ball, r_cyl)),
                              r_ball=float(r_ball), r_cyl=float(r_cyl),
@@ -163,42 +145,11 @@ def _disc_curve_point(kappa: float, e: float):
     return d1, d1 + 2.0 * shift
 
 
-def _polish_equalized(kappa: float, cyl, V, x0):
-    """Root of the two equalization conditions near a candidate x0 = (d1, m0).
-
-    Along the disc-condition curve of slope kappa (see solve_embedding) the
-    remaining condition r_ball = r_cyl is one-dimensional.  Its gap starts
-    positive at the identity, where r_ball = 1 > t^2 = r_cyl; the bracket
-    [0, max(2 sqrt(m0), 1)] grows until the gap changes sign, and brentq
-    finds the root.  Returns (d1, m) at the root, or None when no sign
-    change is found or the root's disc gap is not below 1e-8.
-    """
-
-    def radii_gap_on_curve(e):
-        r_ball, r_cyl = _containment_radii(matrix_S(*_disc_curve_point(kappa, e)), cyl)
-        return r_ball - r_cyl
-
-    lo, hi = 0.0, max(2.0 * np.sqrt(max(x0[1], 0.0)), 1.0)
-    g_lo = radii_gap_on_curve(lo)
-    g_hi = radii_gap_on_curve(hi)
-    expand = 0
-    while g_lo * g_hi > 0.0 and expand < 60:
-        hi *= 1.7
-        g_hi = radii_gap_on_curve(hi)
-        expand += 1
-    if g_lo * g_hi > 0.0:
-        return None
-    e_star = brentq(radii_gap_on_curve, lo, hi, xtol=1e-15, rtol=1e-15)
-    d1, d2 = _disc_curve_point(kappa, e_star)
-    s = np.linalg.svd(V @ matrix_S(d1, d2), compute_uv=False)
-    return np.array([d1, d1 * d2 - 1.0]) if abs(s[0] - s[1]) < 1e-8 else None
-
-
 def linear_search(t: float, budget: int, seed: int = 0) -> dict:
     """Best min-containment value over random linear symplectic maps.
 
     The search is seeded with the optimum of the two-parameter family, so
-    the returned best is at least bound_f(t) minus solver error; samples
+    the returned best is at least the family optimum f(t), to rounding; samples
     are random products of symplectic transvections and unitaries, drawn
     and evaluated as one stack.
     """
@@ -376,9 +327,10 @@ def area_feasibility(t: float, h_grid, tol: float = 1e-8, strict: bool = False) 
                "repaired_bound": repaired,
                "disc_le_repaired": disc <= repaired + tol,
                "repaired_le_exact": repaired <= exact + tol}
-        if strict:
-            assert row["disc_le_lower"], "disc area exceeds printed bound at h=%g" % h
-            assert row["lower_le_exact"], "printed bound exceeds exact area at h=%g" % h
+        if strict and not row["disc_le_lower"]:
+            raise AssertionError("disc area exceeds printed bound at h=%g" % h)
+        if strict and not row["lower_le_exact"]:
+            raise AssertionError("printed bound exceeds exact area at h=%g" % h)
         rows.append(row)
     return rows
 

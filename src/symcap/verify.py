@@ -145,19 +145,27 @@ def criterion_8_bound_table(seed=0):
     low_ok = bool(np.all(fs >= grid - 0.07))
     f_check_seconds = time.time() - t0
     worst_embed = 0.0
+    worst_excess = -np.inf
     worst_geo = 0.0
+    # optimality certificate: no point of a 36 x 48 grid in (d1, m = d1 d2 - 1)
+    # beats the closed-form optimum
+    D1, M = np.meshgrid(np.geomspace(0.15, 6.0, 36), np.linspace(0.0, 12.0, 48), indexing="ij")
+    S_grid = matrix_S(D1, (1.0 + M) / D1)
     for t in grid:
         sol = bn.solve_embedding(float(t))
         worst_embed = max(worst_embed, abs(sol.capacity - bn.bound_f(float(t))))
+        radii = bn._containment_radii(S_grid, bd.aw_cylinder_gw(float(t)))
+        worst_excess = max(worst_excess, float(np.minimum(*radii).max()) - sol.capacity)
         worst_geo = max(worst_geo,
                         abs(bn.bound_simple(float(t)) - bn.bound_simple_geometric(float(t))),
                         abs(bn.bound_inradius(float(t)) - bn.bound_inradius_geometric(float(t))))
-    passed = low_ok and worst_embed <= 1e-5 and worst_geo <= 1e-9
+    passed = low_ok and worst_embed <= 1e-5 and worst_excess <= 1e-7 and worst_geo <= 1e-9
     return _crit("8 bound table", passed,
                  {"f_ge_t-0.07": low_ok, "worst_embedding_gap": float(worst_embed),
+                  "worst_grid_excess": worst_excess,
                   "worst_geometric_gap": float(worst_geo),
                   "f_check_seconds": round(f_check_seconds, 4)},
-                 "f >= t-0.07 exact; embedding 1e-5; geometric 1e-9",
+                 "f >= t-0.07 exact; embedding 1e-5; grid excess 1e-7; geometric 1e-9",
                  "", time.time() - t0)
 
 

@@ -67,6 +67,8 @@ def test_criterion_08_bound_table():
     item = _report(verify.criterion_8_bound_table(seed=0))
     assert item["passed"], item
     assert item["measured"]["f_check_seconds"] < 1.0
+    assert item["measured"]["worst_grid_excess"] <= 1e-7
+    assert item["measured"]["worst_embedding_gap"] <= 1e-10
 
 
 def test_criterion_09_linear_search_remark():

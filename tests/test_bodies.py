@@ -3,7 +3,7 @@ import pytest
 
 from symcap import bodies as bd
 from symcap.orbits import OrbitFrame
-from symcap.symcore import matrix_A_gw, matrix_Mt, matrix_S
+from symcap.symcore import matrix_A_gw, matrix_Mt, matrix_S, random_symplectic_matrix
 
 RNG = np.random.default_rng(2024)
 
@@ -162,19 +162,30 @@ def test_intersection_support_vs_sampling_oracle():
 
 
 def test_intersection_support_general_ellipsoid_brentq_path():
-    # non-ball ellipsoid forces the multiplier root solve
-    ell = bd.EllipsoidBody.from_radii([1.0, 0.5])
+    # a symplectic image of E(1, 0.5) has whitened cylinder spectrum
+    # (0, 0, 0.387, 1.531): two distinct positive values force the
+    # multiplier root solve
+    ell = bd.EllipsoidBody.from_radii([1.0, 0.5]).linear_image(
+        random_symplectic_matrix(2, np.random.default_rng(4)))
     cyl = bd.frame_cylinder(0.5)
     body = bd.IntersectionBody(ell, cyl)
+    assert body._solver._uniform is False
+    # feasible points: ellipsoid boundary points inside the cylinder
+    y = np.random.default_rng(11).normal(size=(4000, 4))
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    feasible = y @ np.linalg.cholesky(ell.Q).T
+    feasible = feasible[[cyl.membership(q, 0.0) for q in feasible]]
+    assert len(feasible) > 100
     rng = np.random.default_rng(10)
     for _ in range(25):
         u = rng.normal(size=4)
         h, p = body.support_with_point(u)
         assert body.membership(p, 1e-8)
         assert p @ u == pytest.approx(h, abs=1e-9)
-        # dominated by each member's support
+        # dominated by each member's support, and no feasible point beats it
         h_ell = ell.support(u)
         assert h <= h_ell + 1e-9
+        assert h >= float(np.max(feasible @ u)) - 1e-9
 
 
 def test_intersection_support_le_min_of_members():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -40,6 +44,17 @@ def test_geometric_rederivations_match_closed_forms():
             bn.bound_inradius(float(t)), abs=1e-9)
 
 
+def test_bound_f_keeps_precision_down_to_tiny_t():
+    # the printed form cancels for small t; the evaluated form must not
+    for t in np.geomspace(1e-12, 0.99, 200):
+        f = bn.bound_f(float(t))
+        assert 0.0 < f < t
+        assert f >= max(bn.bound_simple(float(t)), bn.bound_inradius(float(t)))
+        if t >= 0.05:
+            printed = np.sqrt(2.0 * (1.0 / t**2 - 1.0) * (np.sqrt(1.0 - t * t) - 1.0) + 1.0)
+            assert f == pytest.approx(printed, abs=1e-12)
+
+
 def test_f_between_bounds_on_grid():
     ts = np.arange(0.01, 1.0, 0.01)
     for t in ts:
@@ -76,12 +91,7 @@ def test_solve_embedding_dominates_both_simple_bounds():
 
 
 @pytest.mark.parametrize("t", [0.1, 0.5, 0.6, 0.64, 0.68, 0.9])
-def test_solve_embedding_orbit_cylinder_matches(t, monkeypatch):
-    # the disc-curve root alone must answer: the L-BFGS fallback is cut off
-    def no_fallback(*args, **kwargs):
-        raise AssertionError("fallback taken")
-
-    monkeypatch.setattr(bn, "minimize", no_fallback)
+def test_solve_embedding_orbit_cylinder_matches(t):
     sol = bn.solve_embedding(t, cylinder="orbit")
     assert sol.capacity == pytest.approx(bn.bound_f(t), abs=1e-8)
     assert sol.d1 == pytest.approx(sol.d2, abs=1e-12)
@@ -99,19 +109,18 @@ def test_containment_radii_on_a_stack_match_scalar_calls():
         assert (r_ball[k], r_cyl[k]) == bn._containment_radii(stack[k], cyl)
 
 
-@pytest.mark.parametrize(
-    "t, cylinder",
-    [(0.1, "gw"), (0.5, "gw"), (0.9, "gw"), (0.1, "orbit"), (0.5, "orbit"), (0.9, "orbit")],
-    ids=["0.1", "0.5", "0.9", "0.1-orbit", "0.5-orbit", "0.9-orbit"])
-def test_solve_embedding_fallback_cross_checks_main_path(t, cylinder, monkeypatch):
-    main = bn.solve_embedding(t, cylinder).capacity
-    # without the equalization root, the grid + L-BFGS fallback answers
-    monkeypatch.setattr(bn, "_polish_equalized", lambda *args: None)
-    ascent = bn.solve_embedding(t, cylinder).capacity
-    # unpolished L-BFGS stalls below the kinked optimum: at t = 0.1 by
-    # 1.2e-5 on the gw cylinder and by 1.5e-4 on the orbit cylinder
-    slack = {"gw": 1e-4, "orbit": 2e-4}[cylinder]
-    assert main - slack <= ascent <= main + 1e-7
+@pytest.mark.parametrize("cylinder", ["gw", "orbit"])
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_solve_embedding_is_a_local_maximum(t, cylinder):
+    # random (d1, m = d1 d2 - 1) near the closed-form point never do better
+    sol = bn.solve_embedding(t, cylinder)
+    cyl = bd.aw_cylinder_gw(t) if cylinder == "gw" else bd.aw_cylinder_orbit(t)
+    rng = np.random.default_rng(3)
+    x0 = np.array([sol.d1, sol.d1 * sol.d2 - 1.0])
+    for rel in (1e-2, 1e-4):
+        d1, m = (x0 * (1.0 + rel * rng.uniform(-1.0, 1.0, size=(1000, 2)))).T
+        vals = np.minimum(*bn._containment_radii(bn.matrix_S(d1, (1.0 + m) / d1), cyl))
+        assert vals.max() <= sol.capacity + 1e-12
 
 
 # ---------------------------------------------------------- linear search
@@ -269,6 +278,18 @@ def test_area_feasibility_middle_inequality_fails_in_corner():
     assert row["disc_le_repaired"] and row["repaired_le_exact"]
     with pytest.raises(AssertionError):
         bn.area_feasibility(0.9, [0.95], strict=True)
+
+
+def test_area_feasibility_strict_raises_under_optimize_flag():
+    # python -O strips assert statements; strict mode must still raise
+    env = dict(os.environ, PYTHONPATH=str(Path(bn.__file__).parents[1]))
+    code = ("from symcap import bounds\n"
+            "try:\n"
+            "    bounds.area_feasibility(0.9, [0.95], strict=True)\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    assert subprocess.run([sys.executable, "-O", "-c", code], env=env).returncode == 0
 
 
 @pytest.mark.parametrize("t, h", [(0.5, np.nan), (0.5, np.inf), (np.nan, 0.2), (-np.inf, 0.2)])

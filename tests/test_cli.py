@@ -117,6 +117,12 @@ def test_bounds_svg_has_four_polylines(tmp_path, capsys):
     assert svg.count("<polyline") == 4
 
 
+def test_bounds_fine_grid_near_zero(tmp_path, capsys):
+    code = run(["bounds", "--grid", "0.0001:0.0001:0.1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+
+
 def test_bounds_bad_grid_usage_error(capsys):
     assert run(["bounds", "--grid", "0.5:0.1:0.1"]) == 1
     assert run(["bounds", "--grid", "nonsense"]) == 1
