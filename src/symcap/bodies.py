@@ -8,11 +8,15 @@ come from a two-multiplier KKT dual.
 """
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .symcore import matrix_A_gw, matrix_A_orbit, standard_J
+from .symcore import matrix_A_gw, matrix_A_orbit, require_finite, standard_J
 
 _RANGE_TOL = 1e-10
+# Multiplier search of the non-uniform KKT branch: at most this many
+# doublings of the bracket [0, 1] (mu up to 2^200), and this many halvings,
+# enough to shrink any such bracket to one ulp.
+_DOUBLINGS = 200
+_BISECTIONS = 1100
 
 
 class UnboundedDirectionError(ValueError):
@@ -20,8 +24,10 @@ class UnboundedDirectionError(ValueError):
 
 
 class ConvexBody:
-    """Interface: support_with_point(u) -> (value, maximizer), support(u),
-    support_batch(U, smooth), kinked, membership(p, tol), to_json()."""
+    """Interface: support_batch(U, smooth), the one support kernel each body
+    implements; kinked, membership(p, tol), to_json().  The scalar API,
+    support_with_point(u) -> (value, maximizer) and support(u), runs that
+    kernel on the single row u."""
 
     dim: int
 
@@ -30,7 +36,8 @@ class ConvexBody:
         return h
 
     def support_with_point(self, u):
-        raise NotImplementedError
+        h, P = self.support_batch(np.asarray(u, dtype=float)[None, :])
+        return float(h[0]), P[0]
 
     @property
     def kinked(self) -> bool:
@@ -38,18 +45,13 @@ class ConvexBody:
         return False
 
     def support_batch(self, U: np.ndarray, smooth: float = 0.0):
-        """Vectorized support over rows of U; returns (values, gradients).
+        """Support over the rows of U; returns (values, gradients).
 
         The gradient rows are maximizer points where the support is
         differentiable.  smooth is accepted everywhere but only affects
         bodies with support kinks away from the origin (see kinked).
         """
-        U = np.asarray(U, dtype=float)
-        h = np.empty(U.shape[0])
-        G = np.empty_like(U)
-        for i, u in enumerate(U):
-            h[i], G[i] = self.support_with_point(u)
-        return h, G
+        raise NotImplementedError
 
     def membership(self, p, tol: float = 1e-9) -> bool:
         raise NotImplementedError
@@ -68,6 +70,7 @@ class EllipsoidBody(ConvexBody):
         Q = np.asarray(Q, dtype=float)
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] % 2 != 0:
             raise ValueError("Q must be square of even size")
+        require_finite("Q", Q)
         Q = 0.5 * (Q + Q.T)
         w = np.linalg.eigvalsh(Q)
         if w[0] < -1e-12 * max(1.0, w[-1]):
@@ -90,14 +93,6 @@ class EllipsoidBody(ConvexBody):
         if radii.size == 0 or np.any(radii <= 0):
             raise ValueError("capacities must be positive")
         return cls(np.diag(np.repeat(radii, 2)) / np.pi)
-
-    def support_with_point(self, u):
-        u = np.asarray(u, dtype=float)
-        Qu = self.Q @ u
-        h = float(np.sqrt(max(u @ Qu, 0.0)))
-        if h == 0.0:
-            return 0.0, np.zeros_like(u)
-        return h, Qu / h
 
     def support_batch(self, U, smooth: float = 0.0):
         U = np.asarray(U, dtype=float)
@@ -130,6 +125,7 @@ class CapacityBall(EllipsoidBody):
     """Round ball B^{2n}(r) of capacity r (Euclidean radius sqrt(r/pi))."""
 
     def __init__(self, r: float, n: int):
+        require_finite("r", r)
         if r <= 0:
             raise ValueError("capacity must be positive")
         if n < 1:
@@ -137,14 +133,6 @@ class CapacityBall(EllipsoidBody):
         super().__init__((r / np.pi) * np.eye(2 * n))
         self.r = float(r)
         self.n = int(n)
-
-    def support_with_point(self, u):
-        u = np.asarray(u, dtype=float)
-        nu = float(np.linalg.norm(u))
-        rad = np.sqrt(self.r / np.pi)
-        if nu == 0.0:
-            return 0.0, np.zeros_like(u)
-        return rad * nu, (rad / nu) * u
 
     def support_batch(self, U, smooth: float = 0.0):
         U = np.asarray(U, dtype=float)
@@ -165,6 +153,8 @@ class QuadCylinder(ConvexBody):
         C = np.asarray(C, dtype=float)
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] % 2 != 0:
             raise ValueError("C must be square of even size")
+        require_finite("C", C)
+        require_finite("level", level)
         if level <= 0:
             raise ValueError("level must be positive")
         C = 0.5 * (C + C.T)
@@ -182,21 +172,20 @@ class QuadCylinder(ConvexBody):
         self.eigvecs = V
         self.rank = rank
 
-    def support_with_point(self, u):
-        u = np.asarray(u, dtype=float)
+    def support_batch(self, U, smooth: float = 0.0):
+        U = np.asarray(U, dtype=float)
         w, V = self.eigvals, self.eigvecs
-        cut = _RANGE_TOL * max(1.0, w[-1])
-        coeff = V.T @ u
-        null = w <= cut
-        if np.linalg.norm(coeff[null]) > 1e-9 * max(1.0, np.linalg.norm(u)):
-            raise UnboundedDirectionError(
-                "support is unbounded in direction %s" % np.array2string(u, precision=4))
-        quad = float(np.sum(coeff[~null] ** 2 / w[~null]))
-        h = float(np.sqrt(self.level * quad))
-        if quad == 0.0:
-            return 0.0, np.zeros_like(u)
-        p = V[:, ~null] @ (coeff[~null] / w[~null]) * np.sqrt(self.level / quad)
-        return h, p
+        null = w <= _RANGE_TOL * max(1.0, w[-1])
+        coeff = U @ V
+        off = (np.linalg.norm(coeff[:, null], axis=1)
+               > 1e-9 * np.maximum(1.0, np.linalg.norm(U, axis=1)))
+        if off.any():
+            raise UnboundedDirectionError("support is unbounded in direction %s"
+                                          % np.array2string(U[off][0], precision=4))
+        x = coeff[:, ~null] / w[~null]
+        quad = np.einsum("ij,ij->i", coeff[:, ~null], x)
+        scale = np.sqrt(self.level * _reciprocal(quad))
+        return np.sqrt(self.level * quad), (scale[:, None] * x) @ V[:, ~null].T
 
     def membership(self, p, tol: float = 1e-9) -> bool:
         p = np.asarray(p, dtype=float)
@@ -250,22 +239,16 @@ class IntersectionBody(ConvexBody):
         self._solver = _IntersectionSupport(ellipsoid, cylinder)
 
     @property
-    def members(self):
-        return (self.ellipsoid, self.cylinder)
-
-    @property
     def kinked(self) -> bool:
         # only the closed-form branch of the KKT solver rounds the kink
         return bool(self._solver._uniform)
 
-    def support_with_point(self, u):
-        h, p = self._solver.solve(np.asarray(u, dtype=float)[None, :])
-        return float(h[0]), p[0]
-
     def support_batch(self, U, smooth: float = 0.0):
-        """Exact for smooth = 0.  A small positive smooth parameter rounds
-        the conical kink of the face directions at relative error O(smooth),
-        which keeps quasi-Newton support gradients Lipschitz."""
+        """Exact for smooth = 0.  On a uniform whitened cylinder spectrum a
+        small positive smooth parameter rounds the conical kink of the face
+        directions at relative error O(smooth), which keeps quasi-Newton
+        support gradients Lipschitz.  On a non-uniform spectrum smooth is
+        ignored, which is why kinked is False there."""
         return self._solver.solve(np.asarray(U, dtype=float), smooth=smooth)
 
     def membership(self, p, tol: float = 1e-9) -> bool:
@@ -300,8 +283,11 @@ class _IntersectionSupport:
     ball; the cylinder becomes y^T D y <= c in the eigenbasis of the
     whitened form, with the null directions of D first (eigh sorts them
     there).  With at most one distinct positive eigenvalue the active-set
-    system is closed form, otherwise the multiplier ratio is found by
-    bracketing and brentq on the constraint residual.
+    system is closed form (and smooth rounds its kink).  Otherwise smooth is
+    ignored and the multiplier ratio mu of all rows is solved at once: the
+    cylinder residual of y = w / (1 + mu d), normalized, is monotone in mu
+    (the secular equation of More and Sorensen, 1983), so each row's mu is
+    bracketed by doubling and then bisected to one ulp.
     """
 
     def __init__(self, ellipsoid: EllipsoidBody, cylinder: QuadCylinder):
@@ -330,10 +316,7 @@ class _IntersectionSupport:
     def solve(self, U: np.ndarray, smooth: float = 0.0):
         coeff, a, b = self._split(U)
         if not self._uniform:
-            h = np.empty(U.shape[0])
-            Y = np.empty_like(coeff)
-            for i in range(U.shape[0]):
-                h[i], Y[i] = self._solve_general(coeff[i], a[i], b[i])
+            h, Y = self._solve_general(coeff, a, b)
             # h in whitened frame equals <y, w>, which is <p, u> exactly
             return h, Y @ self._to_point
         dp = self._dplus
@@ -357,44 +340,51 @@ class _IntersectionSupport:
         weight = np.where(self._null_col, w_null[:, None], w_range[:, None])
         return h, (weight * coeff) @ self._to_point
 
-    def _solve_general(self, w, a, b):
+    def _residual(self, mu, W):
+        """Cylinder residual of the normalized rows w / (1 + mu d)."""
+        Y = W / (1.0 + mu[:, None] * self._d)
+        Y /= np.linalg.norm(Y, axis=1)[:, None]
+        return np.sum(self._d * Y * Y, axis=1) - self._c
+
+    def _solve_general(self, W, a, b):
         d, c = self._d, self._c
-        norm = np.sqrt(a + b)
-        if norm == 0.0:
-            return 0.0, np.zeros_like(w)
-        y0 = w / norm
-        if float(np.sum(d * y0 * y0)) <= c * (1.0 + 1e-12):
-            return norm, y0
-
-        def residual(mu):
-            y = w / (1.0 + mu * d)
-            ny = np.linalg.norm(y)
-            y /= ny
-            return float(np.sum(d * y * y)) - c
-
-        lo, hi = 0.0, 1.0
-        r_hi = residual(hi)
-        grow = 0
-        while r_hi > 0.0 and grow < 200:
-            lo, hi = hi, hi * 2.0
-            r_hi = residual(hi)
-            grow += 1
-        if r_hi > 0.0:
-            # direction pinned to the cylinder face: support on the face,
-            # adjusted to stay inside the unit ball along null directions
-            pos = d > 0
-            quad = float(np.sum(w[pos] ** 2 / d[pos]))
-            if quad == 0.0:
-                raise UnboundedDirectionError("degenerate multiplier system")
-            y = np.zeros_like(w)
-            y[pos] = w[pos] / d[pos] * np.sqrt(c / quad)
-            if np.linalg.norm(y) > 1.0 + 1e-9:
-                raise UnboundedDirectionError("singular multiplier system")
-            return float(y @ w), y
-        mu = brentq(residual, lo, hi, xtol=1e-15, rtol=1e-14)
-        y = w / (1.0 + mu * d)
-        y /= np.linalg.norm(y)
-        return float(y @ w), y
+        Y = W * _reciprocal(np.sqrt(a + b))[:, None]
+        # rows whose normalized direction meets the cylinder see the ball only
+        cut = np.flatnonzero(np.sum(d * Y * Y, axis=1) > c * (1.0 + 1e-12))
+        Wc = W[cut]
+        lo, hi = np.zeros(cut.size), np.ones(cut.size)
+        up = self._residual(hi, Wc) > 0.0
+        for _ in range(_DOUBLINGS):
+            if not up.any():
+                break
+            lo[up] = hi[up]
+            hi[up] *= 2.0
+            up[up] = self._residual(hi[up], Wc[up]) > 0.0
+        # the residual is positive at lo and not at hi, except on the face
+        # rows still up (replaced below): halve every bracket to one ulp
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (lo + hi)
+            if np.all((mid == lo) | (mid == hi)):
+                break
+            above = self._residual(mid, Wc) > 0.0
+            lo = np.where(above, mid, lo)
+            hi = np.where(above, hi, mid)
+        Yc = Wc / (1.0 + hi[:, None] * d)
+        Yc /= np.linalg.norm(Yc, axis=1)[:, None]
+        # rows still up are pinned to the cylinder face: support on the
+        # face, adjusted to stay inside the unit ball along null directions
+        pos = d > 0
+        Wf = Wc[up][:, pos]
+        quad = np.sum(Wf ** 2 / d[pos], axis=1)
+        if np.any(quad == 0.0):
+            raise UnboundedDirectionError("degenerate multiplier system")
+        Yf = np.zeros_like(Wc[up])
+        Yf[:, pos] = Wf / d[pos] * np.sqrt(c / quad)[:, None]
+        if np.any(np.linalg.norm(Yf, axis=1) > 1.0 + 1e-9):
+            raise UnboundedDirectionError("singular multiplier system")
+        Yc[up] = Yf
+        Y[cut] = Yc
+        return np.einsum("ij,ij->i", Y, W), Y
 
 
 def largest_ball_in_ellipsoid(M: np.ndarray) -> float:
@@ -420,13 +410,11 @@ def largest_ball_in_cylinder(S: np.ndarray, cyl: QuadCylinder):
     return float(r) if S.ndim == 2 else r
 
 
-def slice_ellipsoid(M: np.ndarray, r: float = 1.0) -> EllipsoidBody:
-    """The hyperplane slice {q : (q, 0, 0) in M B^{2n}(r)} as a (2n-2)-dim ellipsoid."""
-    M = np.asarray(M, dtype=float)
-    m = M.shape[0]
-    Minv = np.linalg.inv(M)
-    B = Minv[:, : m - 2]
-    G = (np.pi / r) * B.T @ B
+def slice_ellipsoid(body: EllipsoidBody) -> EllipsoidBody:
+    """The z_n = 0 slice {q : (q, 0, 0) in body} as a (2n-2)-dim ellipsoid:
+    its form is the top-left block of the body's form Q^{-1}."""
+    m = body.dim - 2
+    G = body._G[:m, :m]
     w = np.linalg.eigvalsh(G)
     if w[0] <= 1e-12 * max(1.0, w[-1]):
         raise ValueError("degenerate slice")

@@ -19,7 +19,7 @@ import numpy as np
 from . import bodies as bd
 from .ehz import ehz_capacity
 from .symcore import (gw_plane_normals, matrix_A_gw, matrix_Mt, matrix_S,
-                      matrix_AL, random_symplectic_matrices)
+                      matrix_AL, random_symplectic_matrices, require_finite)
 # The scalar sampler stays in this namespace: instrumentation that wraps the
 # samplers as bounds sees them looks it up here.
 from .symcore import random_symplectic_matrix  # noqa: F401
@@ -225,12 +225,6 @@ def projected_slice(t: float, n: int = 2) -> dict:
             "semiaxes": semiaxes, "contains_ball_capacity": t * t}
 
 
-def _require_finite(name: str, value) -> None:
-    """ValueError naming `name` unless every entry of value is finite."""
-    if not np.all(np.isfinite(value)):
-        raise ValueError("%s must be finite, got %r" % (name, value))
-
-
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
 
 
@@ -249,8 +243,8 @@ def area_exact_Sh(t: float, h):
     h may be a scalar (a float is returned) or an array (evaluated in one
     pass).
     """
-    _require_finite("t", t)
-    _require_finite("h", h)
+    require_finite("t", t)
+    require_finite("h", h)
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
     h = np.asarray(h, dtype=float)
@@ -308,8 +302,8 @@ def area_feasibility(t: float, h_grid, tol: float = 1e-8, strict: bool = False) 
     printed chain fails.
     """
     h_grid = list(h_grid)
-    _require_finite("t", t)
-    _require_finite("h_grid", h_grid)
+    require_finite("t", t)
+    require_finite("h_grid", h_grid)
     for h in h_grid:
         if h < -1e-12 or h > (1.0 + t) / 2.0 + 1e-12:
             raise ValueError("h=%g outside [0, (1+t)/2]" % h)

@@ -13,7 +13,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .bodies import (ConvexBody, EllipsoidBody, UnboundedDirectionError,
-                     ellipsoid_ehz_oracle)
+                     ellipsoid_ehz_oracle, slice_ellipsoid)
 from .symcore import apply_J, matrix_AL
 
 # Kink-rounding levels of the descent on bodies with kinked support: each
@@ -326,11 +326,6 @@ def scaled_limit_experiment(K: EllipsoidBody, L_list, N: int = 256,
         rows.append({"L": L, "capacity": est.capacity,
                      "oracle": ellipsoid_ehz_oracle(scaled),
                      "converged": est.converged})
-    # slice capacity: the z_n = 0 section of K as a (2n-2)-dim ellipsoid
-    G = np.linalg.inv(K.Q)
-    B = np.eye(2 * n)[:, : 2 * n - 2]
-    G_slice = B.T @ G @ B
-    slice_body = EllipsoidBody(np.linalg.inv(G_slice))
-    slice_cap = ellipsoid_ehz_oracle(slice_body)
+    slice_cap = ellipsoid_ehz_oracle(slice_ellipsoid(K))
     limit_ok = rows[-1]["capacity"] <= slice_cap + tolerance
     return {"rows": rows, "slice_capacity": slice_cap, "limit_ok": limit_ok}

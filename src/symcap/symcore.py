@@ -13,6 +13,12 @@ import numpy as np
 SYMPLECTIC_TOL = 1e-9
 
 
+def require_finite(name: str, value) -> None:
+    """ValueError naming `name` unless every entry of value is finite."""
+    if not np.all(np.isfinite(value)):
+        raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 def standard_J(n: int) -> np.ndarray:
     """Complex-structure matrix J: e_{x_i} -> e_{y_i}, e_{y_i} -> -e_{x_i}."""
     if n < 1:

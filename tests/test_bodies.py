@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from symcap import bodies as bd
 from symcap.orbits import OrbitFrame
@@ -16,6 +17,46 @@ def sample_feasible_points(body, count, rng, scale=1.2):
     pts *= (rng.random(count) ** (1.0 / body.dim) * scale * np.sqrt(r / np.pi))[:, None]
     keep = np.array([body.membership(p) for p in pts])
     return pts[keep]
+
+
+def brentq_general(solver, w, a, b):
+    """Reference for the non-uniform KKT branch, one row at a time: the
+    multiplier bracketed by doubling and solved by brentq."""
+    d, c = solver._d, solver._c
+    norm = np.sqrt(a + b)
+    if norm == 0.0:
+        return 0.0, np.zeros_like(w)
+    y0 = w / norm
+    if float(np.sum(d * y0 * y0)) <= c * (1.0 + 1e-12):
+        return norm, y0
+
+    def residual(mu):
+        y = w / (1.0 + mu * d)
+        y /= np.linalg.norm(y)
+        return float(np.sum(d * y * y)) - c
+
+    lo, hi = 0.0, 1.0
+    grow = 0
+    while residual(hi) > 0.0 and grow < 200:
+        lo, hi = hi, hi * 2.0
+        grow += 1
+    if residual(hi) > 0.0:
+        pos = d > 0
+        quad = float(np.sum(w[pos] ** 2 / d[pos]))
+        y = np.zeros_like(w)
+        y[pos] = w[pos] / d[pos] * np.sqrt(c / quad)
+        return float(y @ w), y
+    mu = brentq(residual, lo, hi, xtol=1e-15, rtol=1e-14)
+    y = w / (1.0 + mu * d)
+    y /= np.linalg.norm(y)
+    return float(y @ w), y
+
+
+def non_uniform_body(r, t, rng):
+    """A random symplectic image of E(1, r) cut by frame_cylinder(t)."""
+    ell = bd.EllipsoidBody.from_radii([1.0, r]).linear_image(
+        random_symplectic_matrix(2, rng))
+    return bd.IntersectionBody(ell, bd.frame_cylinder(t))
 
 
 # ---------------------------------------------------------------- balls
@@ -92,6 +133,16 @@ def test_cylinder_unbounded_direction_raises():
         cyl.support(f.jn1)
     # bounded in the base plane
     assert cyl.support(f.jv1) == pytest.approx(0.5 / np.sqrt(np.pi), abs=1e-10)
+
+
+def test_cylinder_stacked_support_raises_on_any_unbounded_row():
+    cyl = bd.frame_cylinder(0.5)
+    f = OrbitFrame.standard(0.5)
+    h, P = cyl.support_batch(np.array([f.jv1, f.jv2, np.zeros(4)]))
+    np.testing.assert_allclose(h, [0.5 / np.sqrt(np.pi)] * 2 + [0.0], atol=1e-12)
+    assert np.all(P[2] == 0.0)
+    with pytest.raises(bd.UnboundedDirectionError, match="unbounded in direction"):
+        cyl.support_batch(np.array([f.jv1, f.jn1 + f.jv2]))
 
 
 def test_cylinder_rejects_full_rank():
@@ -213,8 +264,8 @@ def test_kkt_general_path_agrees_with_closed_form():
         u = rng.normal(size=4)
         h_closed, _ = solver.solve(u[None, :])
         w, a, b = solver._split(u[None, :])
-        h_general, _ = solver._solve_general(w[0], a[0], b[0])
-        assert h_general == pytest.approx(h_closed[0], abs=1e-10)
+        h_general, _ = solver._solve_general(w, a, b)
+        assert h_general[0] == pytest.approx(h_closed[0], abs=1e-10)
 
 
 @pytest.mark.parametrize("t", [0.3, 0.5, 0.7])
@@ -225,11 +276,11 @@ def test_closed_form_kernel_matches_general_path_on_random_directions(t):
     U = np.random.default_rng(15).normal(size=(200, 4))
     h, P = solver.solve(U)
     W, a, b = solver._split(U)
+    H, Y = solver._solve_general(W, a, b)
     for i in range(len(U)):
-        h_general, y = solver._solve_general(W[i], a[i], b[i])
-        assert h[i] == pytest.approx(h_general, abs=1e-12)
+        assert h[i] == pytest.approx(H[i], abs=1e-12)
         if a[i] > 0:
-            np.testing.assert_allclose(P[i], y @ solver._to_point, atol=1e-10)
+            np.testing.assert_allclose(P[i], Y[i] @ solver._to_point, atol=1e-10)
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
@@ -248,6 +299,43 @@ def test_closed_form_kernel_on_face_null_and_zero_directions(t):
     # the rounded gradient rows stay finite too
     h, P = body.support_batch(U, smooth=1e-4)
     assert np.all(np.isfinite(h)) and np.all(np.isfinite(P))
+
+
+@pytest.mark.parametrize("r, t", [(0.5, 0.5), (0.3, 0.4), (0.7, 0.6), (0.2, 0.8)])
+def test_stacked_general_kernel_matches_per_row_brentq(r, t):
+    rng = np.random.default_rng(int(100 * r + 10 * t))
+    body = non_uniform_body(r, t, rng)
+    solver = body._solver
+    assert solver._uniform is False
+    U = rng.normal(size=(256, 4))
+    h, P = body.support_batch(U)
+    W, a, b = solver._split(U)
+    for i in range(len(U)):
+        h_ref, y_ref = brentq_general(solver, W[i], a[i], b[i])
+        assert h[i] == pytest.approx(h_ref, abs=1e-12)
+        np.testing.assert_allclose(P[i], y_ref @ solver._to_point, rtol=0, atol=1e-12)
+
+
+def test_stacked_general_kernel_face_rows():
+    # rows with an exactly zero null part stay above the cylinder for every
+    # multiplier, so they take the face branch, stacked among ordinary rows
+    rng = np.random.default_rng(16)
+    solver = non_uniform_body(0.5, 0.5, rng)._solver
+    k = solver._k
+    W = rng.normal(size=(64, 4))
+    W[::2, :k] = 0.0
+    a = np.einsum("ij,ij->i", W[:, :k], W[:, :k])
+    b = np.einsum("ij,ij->i", W[:, k:], W[:, k:])
+    h, Y = solver._solve_general(W, a, b)
+    assert np.all(np.isfinite(h)) and np.all(np.isfinite(Y))
+    for i in range(len(W)):
+        h_ref, y_ref = brentq_general(solver, W[i], a[i], b[i])
+        assert h[i] == pytest.approx(h_ref, abs=1e-12)
+        np.testing.assert_allclose(Y[i], y_ref, rtol=0, atol=1e-12)
+    face = Y[::2]
+    assert np.all(np.linalg.norm(face, axis=1) <= 1.0)
+    residual = np.sum(solver._d * face * face, axis=1) - solver._c
+    assert np.all(np.abs(residual) <= 1e-15)
 
 
 # -------------------------------------------------------- ball fitting
@@ -304,30 +392,52 @@ def test_largest_ball_in_cylinder_vs_membership_sampling():
 
 
 def test_slice_identity_is_ball():
-    s = bd.slice_ellipsoid(np.eye(4))
+    s = bd.slice_ellipsoid(bd.EllipsoidBody.from_linear_image(np.eye(4)))
     assert np.allclose(np.sort(s.capacities()), [1.0])
     assert s.dim == 2
 
 
 def test_slice_of_Mt_image_has_capacity_t():
     for t in (0.3, 0.6):
-        s = bd.slice_ellipsoid(matrix_Mt(t))
+        s = bd.slice_ellipsoid(bd.EllipsoidBody.from_linear_image(matrix_Mt(t)))
         assert bd.ellipsoid_ehz_oracle(s) == pytest.approx(t, abs=1e-10)
     # in dimension 6 the slice is symplectically E(1, t)
-    s6 = bd.slice_ellipsoid(matrix_Mt(0.4, 3))
+    s6 = bd.slice_ellipsoid(bd.EllipsoidBody.from_linear_image(matrix_Mt(0.4, 3)))
     assert np.allclose(np.sort(s6.capacities()), [0.4, 1.0], atol=1e-10)
 
 
 def test_slice_of_gw_matrix_is_round_of_capacity_t():
     t = 0.49
-    s = bd.slice_ellipsoid(matrix_A_gw(t))
+    s = bd.slice_ellipsoid(bd.EllipsoidBody.from_linear_image(matrix_A_gw(t)))
     assert np.allclose(np.sort(s.capacities()), [t], atol=1e-10)
     # 6-dimensional version: capacities (1, t)
-    s6 = bd.slice_ellipsoid(matrix_A_gw(t, 3))
+    s6 = bd.slice_ellipsoid(bd.EllipsoidBody.from_linear_image(matrix_A_gw(t, 3)))
     assert np.allclose(np.sort(s6.capacities()), [t, 1.0], atol=1e-10)
 
 
 # ------------------------------------------------------------- misc
+
+NAN_4 = np.full((4, 4), np.nan)
+RANK_2 = np.diag([1.0, 1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: bd.EllipsoidBody(NAN_4), "Q"),
+    (lambda: bd.EllipsoidBody(np.diag([1.0, 1.0, np.inf, 1.0])), "Q"),
+    (lambda: bd.QuadCylinder(NAN_4, 1.0), "C"),
+    (lambda: bd.QuadCylinder(RANK_2, np.nan), "level"),
+    (lambda: bd.QuadCylinder(RANK_2, np.inf), "level"),
+    (lambda: bd.CapacityBall(np.nan, 2), "r"),
+    (lambda: bd.EllipsoidBody.from_radii([1.0, np.nan]), "Q"),
+    (lambda: bd.EllipsoidBody.from_radii([1.0, np.inf]), "Q"),
+    (lambda: bd.EllipsoidBody.from_linear_image(NAN_4), "Q"),
+    (lambda: bd.body_from_json({"kind": "ball", "n": 2, "r": float("nan")}), "r"),
+], ids=["Q-nan", "Q-inf", "C-nan", "level-nan", "level-inf", "ball-r-nan",
+        "radii-nan", "radii-inf", "image-nan", "json-ball-r-nan"])
+def test_non_finite_body_parameters_rejected_naming_them(build, name):
+    with pytest.raises(ValueError, match="^%s must be finite" % name) as err:
+        build()
+    assert not isinstance(err.value, np.linalg.LinAlgError)
 
 
 def test_symplectic_spectrum_on_ball():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -230,3 +231,18 @@ def test_package_import_leaves_scipy_integrate_out():
     code = ("import symcap.cli, symcap.verify, sys; "
             "sys.exit(int('scipy.integrate' in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_only_ehz_imports_from_scipy():
+    # a subprocess cannot tell: `import symcap` always loads ehz
+    found = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found |= {(path.name, m) for m in names if m.split(".")[0] == "scipy"}
+    assert found == {("ehz.py", "scipy.optimize")}
