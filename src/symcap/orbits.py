@@ -5,12 +5,15 @@ The boundary splits into a sphere part S1, a cylinder part S2, and the
 corner stratum S1 cap S2.  Characteristics rotate rigidly on each stratum,
 so arcs are advanced in closed form.  Corner events are closed-form too:
 along an arc the inactive constraint is A + B cos ks + C sin ks (k = 2
-for the Hopf rotation on S1, k = 1 on S2), whose first upward root is an
-explicit arccos.  So are the S2-then-S1 block map from a corner and
-the radii of the closed alternating orbits.  Action is accounted per arc
-as tau/2pi on S1 and (theta/2pi) t on S2; both strata split
-omega-orthogonally, so the arc formula agrees with the line integral
-exactly.
+for the Hopf rotation on S1, k = 1 on S2), with A, B, C quadratic forms in
+the arc's start, and its first upward root is an explicit arccos.  One
+stacked kernel, integrate_orbits, moves every live row of an (M, 4) stack
+of starts by one arc per step; integrate_orbit is its one-row case, and
+the sampled scan and the alternating census each make one call.  The
+S2-then-S1 block map from a corner and the radii of the closed
+alternating orbits are closed-form as well.  Action is accounted per arc as tau/2pi
+on S1 and (theta/2pi) t on S2; both strata split omega-orthogonally, so
+the arc formula agrees with the line integral exactly.
 """
 
 from dataclasses import dataclass, field
@@ -38,6 +41,8 @@ class OrbitFrame:
 
     v1, v2 span the base plane of the cylinder (omega restricted to it has
     angle t), n1, n2 complete them to an orthonormal basis of R^4.
+    arc_tables holds the linear and quadratic maps of the arc kernel (see
+    _arc_tables).
     """
 
     t: float
@@ -49,6 +54,7 @@ class OrbitFrame:
     jv2: np.ndarray = field(init=False)
     jn1: np.ndarray = field(init=False)
     jn2: np.ndarray = field(init=False)
+    arc_tables: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         B = np.column_stack([self.v1, self.v2, self.n1, self.n2])
@@ -62,6 +68,7 @@ class OrbitFrame:
             raise ValueError("frame does not satisfy <v2, J v1> = t")
         if abs(float(self.v1 @ self.jv2) + self.t) > 1e-10:
             raise ValueError("frame does not satisfy <v1, J v2> = -t")
+        object.__setattr__(self, "arc_tables", _arc_tables(self))
 
     @classmethod
     def standard(cls, t: float) -> "OrbitFrame":
@@ -76,46 +83,74 @@ class OrbitFrame:
         return cls(t, v1, v2, n1, n2)
 
     def frame_coords(self, p: np.ndarray) -> np.ndarray:
-        """Components (x1, x2, x3, x4) of p in the basis (Jn1, Jn2, Jv1, Jv2)."""
+        """Components (x1, x2, x3, x4) of p in the basis (Jn1, Jn2, Jv1, Jv2);
+        p may be a (..., 4) stack."""
         p = np.asarray(p, dtype=float)
-        return np.array([p @ self.jn1, p @ self.jn2, p @ self.jv1, p @ self.jv2])
+        x = np.empty(p.shape)
+        x[..., 0] = p @ self.jn1
+        x[..., 1] = p @ self.jn2
+        x[..., 2] = p @ self.jv1
+        x[..., 3] = p @ self.jv2
+        return x
 
     def from_frame_coords(self, x: np.ndarray) -> np.ndarray:
-        return x[0] * self.jn1 + x[1] * self.jn2 + x[2] * self.jv1 + x[3] * self.jv2
+        x = np.asarray(x, dtype=float)
+        return (x[..., 0, None] * self.jn1 + x[..., 1, None] * self.jn2
+                + x[..., 2, None] * self.jv1 + x[..., 3, None] * self.jv2)
 
     def oblique_coords(self, p: np.ndarray) -> np.ndarray:
-        """Coefficients (a1, a2, a3, a4) with p = a1 v1 + a2 v2 + a3 Jn1 + a4 Jn2."""
+        """Coefficients (a1, a2, a3, a4) with p = a1 v1 + a2 v2 + a3 Jn1 + a4 Jn2;
+        p may be a (..., 4) stack."""
         x = self.frame_coords(p)
         k = np.sqrt(1.0 - self.t ** 2) / self.t
-        return np.array([-x[3] / self.t, x[2] / self.t,
-                         x[0] - k * x[3], x[1] + k * x[2]])
+        a = np.empty(x.shape)
+        a[..., 0] = -x[..., 3] / self.t
+        a[..., 1] = x[..., 2] / self.t
+        a[..., 2] = x[..., 0] - k * x[..., 3]
+        a[..., 3] = x[..., 1] + k * x[..., 2]
+        return a
 
     def from_oblique_coords(self, a: np.ndarray) -> np.ndarray:
-        return a[0] * self.v1 + a[1] * self.v2 + a[2] * self.jn1 + a[3] * self.jn2
+        a = np.asarray(a, dtype=float)
+        return (a[..., 0, None] * self.v1 + a[..., 1, None] * self.v2
+                + a[..., 2, None] * self.jn1 + a[..., 3, None] * self.jn2)
 
     def cylinder_form(self, p: np.ndarray) -> float:
         """<p, Jv1>^2 + <p, Jv2>^2, at most t^2/pi inside the cylinder."""
         return float((p @ self.jv1) ** 2 + (p @ self.jv2) ** 2)
 
 
+# region codes of the stacked kernel; an arc's stratum code (S1 or S2)
+# indexes the per-stratum tables of integrate_orbits
+_S1, _S2, _CORNER, _GLIDE = range(4)
+_LABELS = (S1, S2, CORNER, CORNER_GLIDE)
+
+
+def _region_codes(sphere_res: np.ndarray, cyl_res: np.ndarray, t: float,
+                  tol: float) -> np.ndarray:
+    """S1 / S2 / CORNER codes from the residuals pi |p|^2 - 1 and
+    pi |Pi p|^2 - t^2 of a stack of points; raises OffBoundaryError with
+    the residuals of the first point off the boundary."""
+    # tolerances are relative to each constraint level (1 and t^2)
+    cyl_tol = tol * t * t
+    on_sphere = np.abs(sphere_res) <= tol
+    on_cyl = np.abs(cyl_res) <= cyl_tol
+    # on the boundary: one constraint active and the other not violated
+    on = (on_sphere & (cyl_res <= cyl_tol)) | (on_cyl & (sphere_res <= tol))
+    if not on.all():
+        i = np.argmin(on)
+        raise OffBoundaryError(
+            "point is not on the boundary: sphere residual %.3e, cylinder residual %.3e"
+            % (sphere_res[i], cyl_res[i]))
+    return np.where(on_sphere, np.where(on_cyl, _CORNER, _S1), _S2)
+
+
 def classify_boundary_point(p, frame: OrbitFrame, tol: float = 1e-9) -> str:
     """S1 / S2 / CORNER classification of a boundary point."""
     p = np.asarray(p, dtype=float)
-    t = frame.t
     sphere_res = np.pi * float(p @ p) - 1.0
-    cyl_res = np.pi * frame.cylinder_form(p) - t * t
-    # tolerances are relative to each constraint level (1 and t^2)
-    on_sphere = abs(sphere_res) <= tol
-    on_cyl = abs(cyl_res) <= tol * t * t
-    if on_sphere and on_cyl:
-        return CORNER
-    if on_sphere and cyl_res < 0:
-        return S1
-    if on_cyl and sphere_res < 0:
-        return S2
-    raise OffBoundaryError(
-        "point is not on the boundary: sphere residual %.3e, cylinder residual %.3e"
-        % (sphere_res, cyl_res))
+    cyl_res = np.pi * frame.cylinder_form(p) - frame.t * frame.t
+    return _LABELS[_region_codes(np.array([sphere_res]), np.array([cyl_res]), frame.t, tol)[0]]
 
 
 def cylinder_normal(p, frame: OrbitFrame) -> np.ndarray:
@@ -190,7 +225,7 @@ def glide_sign(p, frame: OrbitFrame) -> float:
     return float(a[0] * a[3] - a[1] * a[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Arc:
     region: str
     start: np.ndarray
@@ -321,76 +356,132 @@ def corner_state(t: float, rho: float, psi: float, frame: OrbitFrame | None = No
     return frame.from_oblique_coords(a)
 
 
-def _first_upward_root(fun, k: int):
-    """First s > 0 where fun = A + B cos ks + C sin ks crosses zero upward.
+_INV_K = np.array([0.5, 1.0])  # 1/k: the Hopf arc meets the cylinder form at 2s
+_S1_FLOWS = np.hstack([np.eye(4), apply_J(np.eye(4)), np.zeros((4, 4))])  # (p, Jp, 0)
 
-    A, B, C are read off fun at s = 0, pi/2k and pi/k.  Returns None when
-    fun never crosses zero upward (hypot(B, C) <= |A|).
+
+def _arc_tables(frame: OrbitFrame) -> tuple:
+    """(forms, constants, flows, rates) of the arc kernel for one frame.
+
+    With pp the flattened outer product p p^T, pp @ forms + constants is
+    (A1, B1, C1, sigma, A2, B2, C2, rho^2) at p (see integrate_orbits).
+    p @ flows is (U1, V1, W1, U2, V2, W2): the flow of stratum i from p is
+    cos(s) Ui + sin(s) Vi + Wi, and its action per full turn is rates[i].
     """
-    f0, f1, f2 = fun(0.0), fun(0.5 * np.pi / k), fun(np.pi / k)
-    A = 0.5 * (f0 + f2)
-    B = 0.5 * (f0 - f2)
-    C = f1 - A
-    R = float(np.hypot(B, C))
-    if R <= abs(A):
-        return None
-    s = ((np.arctan2(C, B) - np.arccos(-A / R)) % (2.0 * np.pi)) / k
-    if s <= 1e-12:
-        s += 2.0 * np.pi / k
-    return s
+    t = frame.t
+    x = np.array([frame.jv1, frame.jv2]).T  # p @ x = Pi p
+    b = np.array([frame.v1, frame.v2]).T  # p @ b = Pi Jp
+    oblique = frame.oblique_coords(np.eye(4))  # p @ oblique = (a1, a2, a3, a4)
+    a12, a34 = oblique[:, :2], oblique[:, 2:]
+    quarter = np.array([[0.0, 1.0], [-1.0, 0.0]])  # (a1, a2) -> (-a2, a1)
+
+    def sym(m):
+        return 0.5 * (m + m.T)
+
+    na, nb = x @ x.T, b @ b.T
+    sigma = sym(a12 @ quarter @ a34.T)
+    two_pi_s = 2.0 * np.pi * np.sqrt(1.0 - t * t)
+    forms = np.stack([0.5 * np.pi * (na + nb), 0.5 * np.pi * (na - nb), np.pi * sym(x @ b.T),
+                      sigma, np.pi * (oblique @ oblique.T), -two_pi_s * sym(a12 @ a34.T),
+                      -two_pi_s * sigma, a34 @ a34.T], axis=-1).reshape(16, 8)
+    constants = np.array([-t * t, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+    flows = np.hstack([_S1_FLOWS, a12 @ b.T, a12 @ quarter @ b.T,
+                       a34 @ np.array([frame.jn1, frame.jn2])])
+    return forms, constants, flows, np.array([1.0, t])
+
+
+def integrate_orbits(starts, frame: OrbitFrame, max_arcs: int = 64,
+                     closure_tol: float = 1e-6,
+                     boundary_tol: float = 1e-7) -> list:
+    """Follow the piecewise characteristic flow from an (M, 4) stack of
+    boundary points; one CharacteristicOrbit per row.
+
+    Every live row advances one arc per step.  Each stratum is an exact
+    rotation, so the inactive constraint along an arc is
+    A + B cos ks + C sin ks, with (A, B, C) in closed form: on S1 (k = 2),
+    with x = Pi p and b = Pi Jp the projections on (Jv1, Jv2),
+    A = pi (|x|^2 + |b|^2)/2 - t^2, B = pi (|x|^2 - |b|^2)/2, C = pi x.b;
+    on S2 (k = 1), in oblique coordinates a with s = sqrt(1 - t^2),
+    A = pi |a|^2 - 1, B = -2 pi s (a1 a3 + a2 a4), C = -2 pi s sigma.  The
+    next corner event is the first upward root, an explicit arccos; with
+    no root the arc is a closed full turn.  Corners dispatch by the glide
+    sign sigma = a1 a4 - a2 a3.  A row stops at closure (within closure_tol
+    of its start after more than one arc), at a glide or a full turn, or
+    after max_arcs arcs.
+    """
+    P = np.array(starts, dtype=float).reshape(len(starts), 4)
+    t = frame.t
+    forms, constants, flows, rate = frame.arc_tables
+    # the coefficients of both strata at every point (see _arc_tables)
+    F = (P[:, :, None] * P[:, None, :]).reshape(-1, 16) @ forms + constants
+    # pi |p|^2 - 1 and pi |Pi p|^2 - t^2 are A + B of S2 and S1
+    region = _region_codes(F[:, 4] + F[:, 5], F[:, 0] + F[:, 1], t, boundary_tol)
+    p, origin, ids = P, P, np.arange(len(P))
+    rows = ids
+    closed = np.zeros(len(P), dtype=bool)
+    arcs = [[] for _ in range(len(P))]
+    ends = list(P)  # an arc starts where the previous one of its row ended
+    for n in range(max_arcs):
+        if not ids.size:
+            break
+        if n:
+            F = (p[:, :, None] * p[:, None, :]).reshape(-1, 16) @ forms + constants
+        sigma = F[:, 3]
+        corner = region == _CORNER
+        glide = corner & (np.abs(sigma) <= 1e-8)
+        r = np.where(corner, sigma >= 0.0, region)  # sigma < 0 admits S1
+        A, B, C, _ = F.reshape(-1, 2, 4)[rows, r].T
+        abs_A, R = np.abs(A), np.hypot(B, C)
+        turn = glide | (R <= abs_A)
+        inv_k = _INV_K[r]
+        # the divisor is R on rows with a root; elsewhere it keeps the ratio in [-1, 1]
+        lag = np.arccos(-A / np.maximum(R, abs_A + turn))
+        ang = ((np.arctan2(C, B) - lag) % (2.0 * np.pi)) * inv_k
+        ang += (ang <= 1e-12) * (2.0 * np.pi * inv_k)  # a root at the start: take the next
+        G = (p @ flows).reshape(-1, 2, 12)[rows, r]
+        q = np.where(turn[:, None], p, np.cos(ang)[:, None] * G[:, :4]
+                     + np.sin(ang)[:, None] * G[:, 4:8] + G[:, 8:])
+        rate_r = rate[r]
+        action = np.where(turn, rate_r, ang * rate_r / (2.0 * np.pi))
+        ang[turn] = 2.0 * np.pi
+        label = r
+        if glide.any():
+            # PLUS at a3 = a4 = 0 (action t); MINUS at rho = corner_rho_max,
+            # whose glide (action t(3 - 4t^2)) exists for t < 1/2; from t = 1/2
+            # on, the Hopf circle through that point touches the cylinder
+            # there from inside: a closed S1 orbit of action 1
+            plus = glide & (F[:, 7] <= 1e-16)  # rho <= 1e-8
+            minus = glide & ~plus
+            label[plus] = _GLIDE
+            action[plus] = t
+            label[minus] = _GLIDE if t < 0.5 else _S1
+            action[minus] = t * (3.0 - 4.0 * t * t) if t < 0.5 else 1.0
+        done = turn
+        if n:
+            d = q - origin
+            done = done | (np.einsum("ij,ij->i", d, d) <= closure_tol ** 2)
+        for row, code, end, angle, act in zip(ids.tolist(), label.tolist(), q,
+                                              ang.tolist(), action.tolist()):
+            arcs[row].append(Arc(_LABELS[code], ends[row], end, angle, act))
+            ends[row] = end
+        p = q
+        if done.any():
+            closed[ids[done]] = True
+            keep = ~done
+            p, origin, ids = p[keep], origin[keep], ids[keep]
+            region, rows = region[keep], np.arange(len(ids))
+        region[:] = _CORNER  # every arc ends on the corner
+    return [CharacteristicOrbit(frame, row_arcs, row_closed)
+            for row_arcs, row_closed in zip(arcs, closed.tolist())]
 
 
 def integrate_orbit(start, frame: OrbitFrame, max_arcs: int = 64,
                     closure_tol: float = 1e-6,
                     boundary_tol: float = 1e-7) -> CharacteristicOrbit:
-    """Follow the piecewise characteristic flow from a boundary point.
-
-    Each stratum is an exact rotation, so the inactive constraint along an
-    arc is A + B cos ks + C sin ks (k = 2 on S1, k = 1 on S2) and the next
-    corner event is its first upward root, in closed form.  Corners
-    dispatch by the glide sign.  Stops at closure, at a glide
-    classification, or after max_arcs.
-    """
-    p = np.asarray(start, dtype=float).copy()
-    t = frame.t
-    region = classify_boundary_point(p, frame, boundary_tol)
-    arcs = []
-    origin = p.copy()
-    closed = False
-    glide_tol = 1e-8
-
-    for _ in range(max_arcs):
-        if region == CORNER:
-            sigma = glide_sign(p, frame)
-            if abs(sigma) <= glide_tol:
-                rho = float(np.hypot(*frame.oblique_coords(p)[2:]))
-                branch = PLUS if rho <= 1e-8 else MINUS
-                orbit = glide_orbit(t, branch)
-                arc = orbit.arcs[0]
-                arcs.append(Arc(CORNER_GLIDE, p, p, arc.angle, arc.action))
-                return CharacteristicOrbit(frame, arcs, True)
-            region = S1 if sigma < 0.0 else S2
-        if region == S1:
-            flow = lambda s: s1_flow(p, s)
-            fun = lambda s: np.pi * frame.cylinder_form(flow(s)) - t * t
-            k, rate = 2, 1.0
-        else:
-            flow = lambda s: s2_flow(p, s, frame)
-            fun = lambda s: np.pi * float(np.sum(flow(s) ** 2)) - 1.0
-            k, rate = 1, t
-        s = _first_upward_root(fun, k)
-        if s is None:
-            arcs.append(Arc(region, p, p, 2.0 * np.pi, rate))
-            closed = True
-            break
-        q = flow(s)
-        arcs.append(Arc(region, p, q, s, s * rate / (2.0 * np.pi)))
-        p = q
-        region = CORNER
-        if np.linalg.norm(p - origin) <= closure_tol and len(arcs) > 1:
-            closed = True
-            break
-    return CharacteristicOrbit(frame, arcs, closed)
+    """Follow the piecewise characteristic flow from one boundary point:
+    integrate_orbits on a one-row stack."""
+    return integrate_orbits(np.asarray(start, dtype=float)[None], frame, max_arcs,
+                            closure_tol, boundary_tol)[0]
 
 
 def block_map(t: float, rho: float):
@@ -414,23 +505,13 @@ def block_map(t: float, rho: float):
     return float(2.0 * np.pi - turn), float(theta), float(tau)
 
 
-def find_closed_alternating_orbits(t: float, k_max: int = 8,
-                                   rho_samples: int | None = None) -> list:
-    """Census of closed orbits alternating between S1 and S2.
-
-    A k-block orbit closes when 2 pi - delta_psi = phi = 2 pi j / k with
-    0 < j < k/2, i.e. b sin(phi) cos(theta) - cos(phi) sin(theta) =
-    2t^2 sin(phi) (see block_map), which one arccos solves for theta; each
-    root is confirmed by integration.  Orbits come by k, then j descending,
-    then rho ascending.  Radii outside [1e-3, 1] * 0.995 corner_rho_max(t)
-    are left out, though mixed orbits exist there (k = 3 at 0.997
-    corner_rho_max(0.52)).  rho_samples is ignored.
-    """
-    frame = OrbitFrame.standard(t)
+def _closing_radii(t: float, k_max: int) -> list:
+    """(k, rho) of every root of the closing equation of a k-block orbit
+    with a corner radius in (0, corner_rho_max(t)), by k, then j
+    descending, then rho ascending (see find_closed_alternating_orbits)."""
     rho_max = corner_rho_max(t)
-    rho_hi = rho_max * 0.995
     b = 1.0 - 2.0 * t * t
-    orbits = []
+    roots = []
     for k in range(1, k_max + 1):
         for j in range((k - 1) // 2, 0, -1):
             phi = 2.0 * np.pi * j / k
@@ -442,31 +523,39 @@ def find_closed_alternating_orbits(t: float, k_max: int = 8,
             for theta in sorted({(half - lag) % (2.0 * np.pi),
                                  (-half - lag) % (2.0 * np.pi)}, reverse=True):
                 rho = np.cos(0.5 * theta) * rho_max
-                if not rho_hi * 1e-3 <= rho <= rho_hi:
-                    continue
-                p0 = corner_state(t, rho, 0.0, frame)
-                orbit = integrate_orbit(p0, frame, max_arcs=2 * k + 1,
-                                        closure_tol=1e-6)
-                if orbit.closed and orbit.is_mixed() and len(orbit.arcs) == 2 * k:
-                    orbits.append(orbit)
-    return orbits
+                # theta -> 0 (rho -> rho_max) is a root only at t = 1/2
+                if 0.0 < rho < rho_max:
+                    roots.append((k, rho))
+    return roots
 
 
-def min_action_scan(t: float, samples: int = 48, seed: int = 0,
-                    max_arcs: int = 64):
-    """Minimal action among closed characteristics found on the boundary.
+def find_closed_alternating_orbits(t: float, k_max: int = 8,
+                                   rho_samples: int | None = None) -> list:
+    """Census of closed orbits alternating between S1 and S2.
 
-    Always includes the closed-form glide orbits, pure Hopf orbits found
-    from sampled starts, and any closed alternating orbits hit by the
-    sampler; ties break lexicographically on the start coordinates.
+    A k-block orbit closes when 2 pi - delta_psi = phi = 2 pi j / k with
+    0 < j < k/2, i.e. b sin(phi) cos(theta) - cos(phi) sin(theta) =
+    2t^2 sin(phi) (see block_map), which one arccos solves for theta.
+    Every root with a corner radius in (0, corner_rho_max(t)) is confirmed
+    in one integrate_orbits call and kept if its orbit closes, mixed, after
+    exactly 2k arcs.  Orbits come by k, then j descending, then rho
+    ascending.  rho_samples is ignored.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 0:
-        raise ValueError("samples must be a nonnegative integer, got %r" % (samples,))
     frame = OrbitFrame.standard(t)
-    found = [glide_orbit(t, PLUS)]
-    if t < 0.5:
-        found.append(glide_orbit(t, MINUS))
+    roots = _closing_radii(t, k_max)
+    starts = [corner_state(t, rho, 0.0, frame) for _, rho in roots]
+    orbits = integrate_orbits(np.reshape(starts, (-1, 4)), frame,
+                              max_arcs=2 * k_max + 1, closure_tol=1e-6)
+    return [orbit for (k, _), orbit in zip(roots, orbits)
+            if orbit.closed and orbit.is_mixed() and len(orbit.arcs) == 2 * k]
+
+
+def _scan_starts(frame: OrbitFrame, samples: int, seed: int) -> np.ndarray:
+    """(samples, 4) boundary points of min_action_scan: Gaussian directions
+    on the sphere, those outside the cylinder pushed into it."""
+    t = frame.t
     rng = np.random.default_rng(seed)
+    starts = []
     for _ in range(samples):
         p = rng.normal(size=4)
         p /= np.linalg.norm(p) * np.sqrt(np.pi)
@@ -479,8 +568,26 @@ def min_action_scan(t: float, samples: int = 48, seed: int = 0,
             x[3] *= scale
             x[:2] *= np.sqrt(max(1.0 / np.pi - x[2] ** 2 - x[3] ** 2, 0.0)) / np.hypot(x[0], x[1])
             p = frame.from_frame_coords(x)
-        orbit = integrate_orbit(p, frame, max_arcs=max_arcs)
-        if orbit.closed:
-            found.append(orbit)
+        starts.append(p)
+    return np.reshape(starts, (-1, 4))
+
+
+def min_action_scan(t: float, samples: int = 48, seed: int = 0,
+                    max_arcs: int = 64):
+    """Minimal action among closed characteristics found on the boundary.
+
+    Always includes the closed-form glide orbits, pure Hopf orbits found
+    from sampled starts, and any closed alternating orbits hit by the
+    sampler; the sampled starts run in one integrate_orbits call.  Ties
+    break lexicographically on the start coordinates.
+    """
+    if not isinstance(samples, (int, np.integer)) or samples < 0:
+        raise ValueError("samples must be a nonnegative integer, got %r" % (samples,))
+    frame = OrbitFrame.standard(t)
+    found = [glide_orbit(t, PLUS)]
+    if t < 0.5:
+        found.append(glide_orbit(t, MINUS))
+    orbits = integrate_orbits(_scan_starts(frame, samples, seed), frame, max_arcs=max_arcs)
+    found += [orbit for orbit in orbits if orbit.closed]
     best = min(found, key=lambda o: (o.action, tuple(np.round(o.arcs[0].start, 12))))
     return best.action, best, found

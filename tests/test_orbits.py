@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -244,6 +246,180 @@ def test_transit_norm_preservation_along_integrated_arcs():
 # ----------------------------------------------------------- integration
 
 
+def first_upward_root_reference(fun, k):
+    """First s > 0 where fun = A + B cos ks + C sin ks crosses zero upward,
+    with A, B, C read off fun at s = 0, pi/2k and pi/k; None without one."""
+    f0, f1, f2 = fun(0.0), fun(0.5 * np.pi / k), fun(np.pi / k)
+    A = 0.5 * (f0 + f2)
+    B = 0.5 * (f0 - f2)
+    C = f1 - A
+    R = float(np.hypot(B, C))
+    if R <= abs(A):
+        return None
+    s = ((np.arctan2(C, B) - np.arccos(-A / R)) % (2.0 * np.pi)) / k
+    if s <= 1e-12:
+        s += 2.0 * np.pi / k
+    return s
+
+
+def integrate_orbit_reference(start, frame, max_arcs=64, closure_tol=1e-6,
+                              boundary_tol=1e-7):
+    """Scalar per-arc oracle for the stacked kernel: one row, one arc per
+    pass, each event from a three-point fit of the inactive constraint."""
+    p = np.asarray(start, dtype=float).copy()
+    t = frame.t
+    region = ob.classify_boundary_point(p, frame, boundary_tol)
+    arcs = []
+    origin = p.copy()
+    closed = False
+    for _ in range(max_arcs):
+        if region == ob.CORNER:
+            sigma = ob.glide_sign(p, frame)
+            if abs(sigma) <= 1e-8:
+                rho = float(np.hypot(*frame.oblique_coords(p)[2:]))
+                arc = ob.glide_orbit(t, ob.PLUS if rho <= 1e-8 else ob.MINUS).arcs[0]
+                arcs.append(ob.Arc(ob.CORNER_GLIDE, p, p, arc.angle, arc.action))
+                return ob.CharacteristicOrbit(frame, arcs, True)
+            region = ob.S1 if sigma < 0.0 else ob.S2
+        if region == ob.S1:
+            flow = lambda s: ob.s1_flow(p, s)  # noqa: E731
+            fun = lambda s: np.pi * frame.cylinder_form(flow(s)) - t * t  # noqa: E731
+            k, rate = 2, 1.0
+        else:
+            flow = lambda s: ob.s2_flow(p, s, frame)  # noqa: E731
+            fun = lambda s: np.pi * float(np.sum(flow(s) ** 2)) - 1.0  # noqa: E731
+            k, rate = 1, t
+        s = first_upward_root_reference(fun, k)
+        if s is None:
+            arcs.append(ob.Arc(region, p, p, 2.0 * np.pi, rate))
+            closed = True
+            break
+        q = flow(s)
+        arcs.append(ob.Arc(region, p, q, s, s * rate / (2.0 * np.pi)))
+        p = q
+        region = ob.CORNER
+        if np.linalg.norm(p - origin) <= closure_tol and len(arcs) > 1:
+            closed = True
+            break
+    return ob.CharacteristicOrbit(frame, arcs, closed)
+
+
+def assert_matches_reference(orbits, starts, frame, tol=1e-11, **kw):
+    assert len(orbits) == len(starts)
+    for orbit, start in zip(orbits, starts):
+        ref = integrate_orbit_reference(start, frame, **kw)
+        assert orbit.regions == ref.regions
+        assert orbit.closed == ref.closed
+        for arc, ref_arc in zip(orbit.arcs, ref.arcs):
+            assert abs(arc.angle - ref_arc.angle) <= tol
+            assert abs(arc.action - ref_arc.action) <= tol
+            assert np.max(np.abs(arc.start - ref_arc.start)) <= tol
+            assert np.max(np.abs(arc.end - ref_arc.end)) <= tol
+
+
+@pytest.mark.parametrize("t", [0.1, 0.2, 0.25, 0.38, 0.4, 0.52, 0.59, 0.75, 0.765, 0.9])
+def test_stacked_kernel_matches_scalar_reference_on_scan_starts(t):
+    # 32 sampled starts per seed, most of them running all 64 arcs
+    f = ob.OrbitFrame.standard(t)
+    for seed in range(3):
+        starts = ob._scan_starts(f, 32, seed)
+        assert_matches_reference(ob.integrate_orbits(starts, f), starts, f)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.45])
+def test_stacked_kernel_matches_scalar_reference_on_census_roots(t):
+    f = ob.OrbitFrame.standard(t)
+    roots = ob._closing_radii(t, 8)
+    assert len(roots) >= 10
+    starts = np.array([ob.corner_state(t, rho, 0.0, f) for _, rho in roots])
+    assert_matches_reference(ob.integrate_orbits(starts, f, max_arcs=17), starts, f,
+                             max_arcs=17)
+
+
+def test_stacked_kernel_on_a_mixed_stack():
+    # corner, S1, S2, PLUS and MINUS glide rows integrate side by side
+    t = 0.3
+    f = ob.OrbitFrame.standard(t)
+    starts = np.array([
+        ob.corner_state(t, 0.4 * ob.corner_rho_max(t), 1.1, f),
+        f.from_frame_coords(np.array([1.0 / np.sqrt(np.pi), 0.0, 0.0, 0.0])),
+        f.from_frame_coords(np.array([0.1, 0.0, t / np.sqrt(np.pi), 0.0])),
+        ob.glide_orbit(t, ob.PLUS).arcs[0].start,
+        ob.glide_orbit(t, ob.MINUS).arcs[0].start,
+        ob.corner_state(t, 0.9 * ob.corner_rho_max(t), 4.0, f),
+    ])
+    kinds = [ob.classify_boundary_point(p, f) for p in starts]
+    assert kinds == [ob.CORNER, ob.S1, ob.S2, ob.CORNER, ob.CORNER, ob.CORNER]
+    orbits = ob.integrate_orbits(starts, f, max_arcs=12)
+    assert_matches_reference(orbits, starts, f, max_arcs=12)
+    assert orbits[3].regions == [ob.CORNER_GLIDE] and orbits[3].action == t
+    assert orbits[4].regions == [ob.CORNER_GLIDE]
+    assert orbits[4].action == pytest.approx(t * (3.0 - 4.0 * t * t), abs=1e-15)
+    # a row integrated alone is that row of the stack, up to the rounding
+    # of the matrix products, which depends on the stack height
+    for start, orbit in zip(starts, orbits):
+        alone = ob.integrate_orbit(start, f, max_arcs=12)
+        assert alone.regions == orbit.regions
+        assert np.allclose([a.angle for a in alone.arcs], [a.angle for a in orbit.arcs],
+                           rtol=0.0, atol=1e-13)
+
+
+def test_stacked_kernel_full_turn_row_beside_rooted_rows_warns_nothing():
+    t = 0.75
+    f = ob.OrbitFrame.standard(t)
+    hopf = np.array([0.0, 0.0, 1.0 / np.sqrt(np.pi), 0.0])
+    starts = np.array([ob.corner_state(t, 0.3 * ob.corner_rho_max(t), 0.2, f), hopf,
+                       ob.corner_state(t, 0.7 * ob.corner_rho_max(t), 2.0, f)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        orbits = ob.integrate_orbits(starts, f, max_arcs=6)
+    assert orbits[1].regions == [ob.S1] and orbits[1].closed
+    assert orbits[1].action == 1.0
+    assert_matches_reference(orbits, starts, f, max_arcs=6)
+
+
+def test_stacked_kernel_rejects_an_off_boundary_row_and_takes_an_empty_stack():
+    f = ob.OrbitFrame.standard(0.4)
+    good = ob.corner_state(0.4, 0.5 * ob.corner_rho_max(0.4), 0.0, f)
+    with pytest.raises(ob.OffBoundaryError, match="not on the boundary"):
+        ob.integrate_orbits(np.array([good, 0.5 * good, good]), f)
+    assert ob.integrate_orbits(np.empty((0, 4)), f) == []
+
+
+@pytest.mark.parametrize("start", [(0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)])
+def test_hopf_circle_touching_the_cylinder_at_half_closes_with_action_one(start):
+    # the Hopf circle z1 = 0 touches the cylinder exactly at t = 1/2, where
+    # pi times the cylinder form peaks at (1 - t)/2 = t^2; it is the limit
+    # of the MINUS glide, whose action t(3 - 4t^2) tends to 1
+    t = 0.5
+    f = ob.OrbitFrame.standard(t)
+    p = np.array(start) / np.sqrt(np.pi)
+    pts = ob.s1_flow(p, np.linspace(0.0, 2.0 * np.pi, 2001))
+    assert np.max(np.pi * ((pts @ f.jv1) ** 2 + (pts @ f.jv2) ** 2)) == pytest.approx(
+        t * t, abs=1e-12)
+    orbit = ob.integrate_orbit(p, f)
+    assert orbit.closed and orbit.regions == [ob.S1]
+    assert orbit.action == 1.0
+    assert orbit.line_integral_action() == pytest.approx(1.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("t", [0.55, 0.7, 0.9])
+def test_minus_glide_point_above_half_lies_on_a_touching_hopf_circle(t):
+    # sigma = 0 at corner radius corner_rho_max(t); for t > 1/2 no MINUS
+    # glide exists there, and the Hopf circle through the point stays in
+    # the cylinder, touching it only there
+    f = ob.OrbitFrame.standard(t)
+    lam = -np.sqrt(1.0 - t * t) / t
+    x3 = t / np.sqrt(np.pi)
+    p = f.from_frame_coords(np.array([0.0, -lam * x3, x3, 0.0]))
+    assert ob.classify_boundary_point(p, f) == ob.CORNER
+    assert abs(ob.glide_sign(p, f)) <= 1e-12
+    pts = ob.s1_flow(p, np.linspace(0.0, 2.0 * np.pi, 2001))
+    assert np.max(np.pi * ((pts @ f.jv1) ** 2 + (pts @ f.jv2) ** 2)) <= t * t + 1e-12
+    orbit = ob.integrate_orbit(p, f)
+    assert orbit.closed and orbit.regions == [ob.S1] and orbit.action == 1.0
+
+
 def test_integrate_plus_glide_closes_with_action_t(frame_half):
     start = ob.glide_orbit(0.5, ob.PLUS).arcs[0].start
     orbit = ob.integrate_orbit(start, frame_half)
@@ -366,6 +542,20 @@ def test_alternating_census_is_pinned_in_order(t, k_max, expected):
         assert orbit.action == pytest.approx(action, abs=1e-9)
 
 
+def test_census_keeps_mixed_orbits_next_to_the_corner_edge():
+    # at t = 0.52 the k = 3 orbit sits at 0.99715 corner_rho_max, outside
+    # the former window [1e-3, 0.995] corner_rho_max
+    t = 0.52
+    found = ob.find_closed_alternating_orbits(t, k_max=3)
+    assert [len(o.arcs) for o in found] == [6, 6]
+    edge = found[1]
+    a = edge.frame.oblique_coords(edge.arcs[0].start)
+    assert np.hypot(a[2], a[3]) / ob.corner_rho_max(t) == pytest.approx(0.9971530174, abs=1e-9)
+    assert edge.action == pytest.approx(1.0020970615, abs=1e-9)
+    assert edge.action == pytest.approx(edge.line_integral_action(), abs=1e-7)
+    assert edge.is_mixed() and edge.action > t
+
+
 def test_small_circle_radius_bounds_theta_tilde():
     # z2 shadow of an S2 arc is a circle of radius sqrt((1-t)/(2 pi)),
     # strictly inside the Hopf shadow of radius |z2| at the endpoints
@@ -392,6 +582,19 @@ def test_small_circle_radius_bounds_theta_tilde():
         chord = np.linalg.norm(arc.end[2:4] - arc.start[2:4])
         theta_tilde = 2.0 * np.arcsin(min(chord / (2.0 * z2_end), 1.0))
         assert theta_tilde < arc.angle + 1e-12
+
+
+@pytest.mark.parametrize("t, found_by_seed", [
+    (0.25, (2, 2, 2)), (0.5, (1, 1, 1)), (0.75, (17, 9, 15))])
+def test_min_action_scan_sampler_contract_is_pinned(t, found_by_seed):
+    # the starts and their orbits of the per-sample scan: the PLUS glide is
+    # the minimum; t < 1/2 adds the MINUS glide, t = 3/4 closed Hopf circles
+    for seed, n_found in enumerate(found_by_seed):
+        action, best, found = ob.min_action_scan(t, samples=32, seed=seed)
+        assert action == t
+        assert len(found) == n_found
+        expected = [t] + ([t * (3.0 - 4.0 * t * t)] if t < 0.5 else [1.0] * (n_found - 1))
+        assert np.allclose(sorted(o.action for o in found), expected, rtol=0.0, atol=1e-12)
 
 
 def test_min_action_scan_returns_t():
