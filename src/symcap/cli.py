@@ -118,9 +118,9 @@ def cmd_ehz(args) -> int:
 
 def cmd_orbits(args) -> int:
     t = args.t
-    if t is None or not 0.0 < t < 1.0:
+    if not 0.0 < t < 1.0:
         raise UsageError("orbits requires --t strictly between 0 and 1")
-    action, best, found = ob.min_action_scan(t, samples=args.samples, seed=args.seed)
+    action, best, found = ob.min_action_scan(t)
     lines = ["arc,region,angle,action_increment," +
              ",".join(f"end_{c}" for c in ("x1", "y1", "x2", "y2"))]
     for i, arc in enumerate(best.arcs):
@@ -129,17 +129,18 @@ def cmd_orbits(args) -> int:
                               + [f"{c:.12g}" for c in arc.end]))
     out_dir = Path(args.out) if args.out else None
     _write(out_dir, "orbit.csv", "\n".join(lines) + "\n")
-    summary = {"config": {"command": "orbits", "ts": [t], "seed": args.seed},
+    # the census opens with the PLUS glide, then the MINUS glide for t < 1/2
+    plus, minus = found[0].action, found[1].action
+    summary = {"config": {"command": "orbits", "ts": [t]},
                "t": t, "min_action": action,
-               "glide_plus_action": t,
+               "glide_plus_action": plus,
                "closed_orbits_found": len(found)}
     if t < 0.5:
-        summary["glide_minus_action"] = t * (3.0 - 4.0 * t * t)
+        summary["glide_minus_action"] = minus
     if out_dir is not None:
         _write(out_dir, "summary.json", json.dumps(summary, indent=2) + "\n")
     print("min action %.6f at t=%.4g" % (action, t))
-    print("glide actions: PLUS %.6f%s"
-          % (t, ", MINUS %.6f" % summary["glide_minus_action"] if t < 0.5 else ""))
+    print("glide actions: PLUS %.6f%s" % (plus, ", MINUS %.6f" % minus if t < 0.5 else ""))
     return 0
 
 
@@ -193,10 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print loop.csv or the JSON report on stdout (not with --out)")
     p.set_defaults(func=cmd_ehz)
 
-    p = sub.add_parser("orbits", help="closed characteristic scan")
+    p = sub.add_parser("orbits", help="closed characteristic census")
     p.add_argument("--t", type=_finite_float, required=True)
-    p.add_argument("--samples", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("bounds", help="lower-bound table and chart")

@@ -9,9 +9,10 @@ for the Hopf rotation on S1, k = 1 on S2), with A, B, C quadratic forms in
 the arc's start, and its first upward root is an explicit arccos.  One
 stacked kernel, integrate_orbits, moves every live row of an (M, 4) stack
 of starts by one arc per step; integrate_orbit is its one-row case, and
-the sampled scan and the alternating census each make one call.  The
-S2-then-S1 block map from a corner and the radii of the closed
-alternating orbits are closed-form as well.  Action is accounted per arc as tau/2pi
+the alternating census confirms its roots in one call.  The S2-then-S1
+block map from a corner and the radii of the closed alternating orbits
+are closed-form as well, so the census of closed orbits behind
+min_action_scan is deterministic.  Action is accounted per arc as tau/2pi
 on S1 and (theta/2pi) t on S2; both strata split omega-orthogonally, so
 the arc formula agrees with the line integral exactly.
 """
@@ -288,22 +289,31 @@ def glide_orbit(t: float, branch: str) -> CharacteristicOrbit:
     """The closed corner orbits: PLUS has action t, MINUS (t < 1/2 only)
     has action t(3 - 4 t^2)."""
     frame = OrbitFrame.standard(t)
+    if branch == MINUS and t >= 0.5:
+        raise ValueError("the MINUS corner branch exists only for t < 1/2")
+    return _corner_orbit(frame, branch)
+
+
+def _corner_orbit(frame: OrbitFrame, branch: str) -> CharacteristicOrbit:
+    """The closed orbit through a glide point of the corner: PLUS at
+    a3 = a4 = 0 glides with action t; MINUS, at x1 = lambda x4,
+    x2 = -lambda x3 with lambda = -sqrt(1-t^2)/t, glides with action
+    t(3 - 4t^2) for t < 1/2, and from t = 1/2 on lies on a Hopf circle
+    that touches the cylinder there from inside (action 1)."""
+    t = frame.t
     if branch == PLUS:
         start = frame.from_oblique_coords(np.array([1.0 / np.sqrt(np.pi), 0.0, 0.0, 0.0]))
-        arc = Arc(CORNER_GLIDE, start, start, 2.0 * np.pi, t)
-        return CharacteristicOrbit(frame, [arc], True)
-    if branch == MINUS:
-        if t >= 0.5:
-            raise ValueError("the MINUS corner branch exists only for t < 1/2")
+        region, action = CORNER_GLIDE, t
+    elif branch == MINUS:
         lam = -np.sqrt(1.0 - t * t) / t
         x3 = t / np.sqrt(np.pi)
         x4 = 0.0
-        x = np.array([lam * x4, -lam * x3, x3, x4])
-        start = frame.from_frame_coords(x)
-        action = t * (3.0 - 4.0 * t * t)
-        arc = Arc(CORNER_GLIDE, start, start, 2.0 * np.pi, action)
-        return CharacteristicOrbit(frame, [arc], True)
-    raise ValueError("branch must be PLUS or MINUS")
+        start = frame.from_frame_coords(np.array([lam * x4, -lam * x3, x3, x4]))
+        region, action = (CORNER_GLIDE, t * (3.0 - 4.0 * t * t)) if t < 0.5 else (S1, 1.0)
+    else:
+        raise ValueError("branch must be PLUS or MINUS")
+    arc = Arc(region, start, start, 2.0 * np.pi, action)
+    return CharacteristicOrbit(frame, [arc], True)
 
 
 def hopf_projection_area(p, frame: OrbitFrame) -> float:
@@ -449,8 +459,10 @@ def integrate_orbits(starts, frame: OrbitFrame, max_arcs: int = 64,
             # PLUS at a3 = a4 = 0 (action t); MINUS at rho = corner_rho_max,
             # whose glide (action t(3 - 4t^2)) exists for t < 1/2; from t = 1/2
             # on, the Hopf circle through that point touches the cylinder
-            # there from inside: a closed S1 orbit of action 1
-            plus = glide & (F[:, 7] <= 1e-16)  # rho <= 1e-8
+            # there from inside: a closed S1 orbit of action 1.  These are the
+            # only glide radii, so split at rho^2 = rho_max^2 / 2: rho^2 read
+            # off the quadratic form carries rounding of about 1e-15
+            plus = glide & (F[:, 7] <= 2.0 * (1.0 - t * t) / np.pi)
             minus = glide & ~plus
             label[plus] = _GLIDE
             action[plus] = t
@@ -541,7 +553,11 @@ def find_closed_alternating_orbits(t: float, k_max: int = 8,
     exactly 2k arcs.  Orbits come by k, then j descending, then rho
     ascending.  rho_samples is ignored.
     """
-    frame = OrbitFrame.standard(t)
+    return _alternating_orbits(OrbitFrame.standard(t), k_max)
+
+
+def _alternating_orbits(frame: OrbitFrame, k_max: int) -> list:
+    t = frame.t
     roots = _closing_radii(t, k_max)
     starts = [corner_state(t, rho, 0.0, frame) for _, rho in roots]
     orbits = integrate_orbits(np.reshape(starts, (-1, 4)), frame,
@@ -550,44 +566,20 @@ def find_closed_alternating_orbits(t: float, k_max: int = 8,
             if orbit.closed and orbit.is_mixed() and len(orbit.arcs) == 2 * k]
 
 
-def _scan_starts(frame: OrbitFrame, samples: int, seed: int) -> np.ndarray:
-    """(samples, 4) boundary points of min_action_scan: Gaussian directions
-    on the sphere, those outside the cylinder pushed into it."""
-    t = frame.t
-    rng = np.random.default_rng(seed)
-    starts = []
-    for _ in range(samples):
-        p = rng.normal(size=4)
-        p /= np.linalg.norm(p) * np.sqrt(np.pi)
-        if np.pi * frame.cylinder_form(p) > t * t:
-            # push the sampled sphere point into the cylinder: shrink the
-            # (Jv1, Jv2) component until the form is admissible
-            x = frame.frame_coords(p)
-            scale = (t / np.sqrt(np.pi)) / np.hypot(x[2], x[3]) * rng.uniform(0.2, 1.0)
-            x[2] *= scale
-            x[3] *= scale
-            x[:2] *= np.sqrt(max(1.0 / np.pi - x[2] ** 2 - x[3] ** 2, 0.0)) / np.hypot(x[0], x[1])
-            p = frame.from_frame_coords(x)
-        starts.append(p)
-    return np.reshape(starts, (-1, 4))
+def min_action_scan(t: float, samples: int | None = None, seed: int | None = None):
+    """Minimal action among the closed characteristics of the boundary.
 
-
-def min_action_scan(t: float, samples: int = 48, seed: int = 0,
-                    max_arcs: int = 64):
-    """Minimal action among closed characteristics found on the boundary.
-
-    Always includes the closed-form glide orbits, pure Hopf orbits found
-    from sampled starts, and any closed alternating orbits hit by the
-    sampler; the sampled starts run in one integrate_orbits call.  Ties
-    break lexicographically on the start coordinates.
+    Returns (action, best, found).  found is the census of the closed
+    families, all in closed form: the PLUS glide (action t); the MINUS
+    glide (action t(3 - 4t^2)) for t < 1/2, or from t = 1/2 on the Hopf
+    circle through the MINUS glide point, which touches the cylinder
+    there from inside (action 1); then the alternating orbits of
+    find_closed_alternating_orbits(t).  best is the first orbit of least
+    action in that order, the PLUS glide.  samples and seed are ignored;
+    they remain for callers that still pass them.
     """
-    if not isinstance(samples, (int, np.integer)) or samples < 0:
-        raise ValueError("samples must be a nonnegative integer, got %r" % (samples,))
     frame = OrbitFrame.standard(t)
-    found = [glide_orbit(t, PLUS)]
-    if t < 0.5:
-        found.append(glide_orbit(t, MINUS))
-    orbits = integrate_orbits(_scan_starts(frame, samples, seed), frame, max_arcs=max_arcs)
-    found += [orbit for orbit in orbits if orbit.closed]
-    best = min(found, key=lambda o: (o.action, tuple(np.round(o.arcs[0].start, 12))))
+    found = [_corner_orbit(frame, PLUS), _corner_orbit(frame, MINUS)]
+    found += _alternating_orbits(frame, 8)
+    best = min(found, key=lambda o: o.action)
     return best.action, best, found

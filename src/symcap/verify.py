@@ -64,7 +64,7 @@ def criterion_4_orbit_census(seed=0):
     ok = True
     details = []
     for t in (0.25, 0.5, 0.75):
-        action, best, _ = ob.min_action_scan(t, samples=32, seed=seed)
+        action, best, _ = ob.min_action_scan(t)
         scan_ok = abs(action - t) <= 1e-3
         plus = ob.glide_orbit(t, ob.PLUS).action
         glide_ok = abs(plus - t) <= 1e-12

@@ -317,12 +317,34 @@ def assert_matches_reference(orbits, starts, frame, tol=1e-11, **kw):
             assert np.max(np.abs(arc.end - ref_arc.end)) <= tol
 
 
+def scan_starts(frame, samples, seed):
+    """(samples, 4) boundary points: Gaussian directions on the sphere,
+    those outside the cylinder pushed into it."""
+    t = frame.t
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(samples):
+        p = rng.normal(size=4)
+        p /= np.linalg.norm(p) * np.sqrt(np.pi)
+        if np.pi * frame.cylinder_form(p) > t * t:
+            # push the sampled sphere point into the cylinder: shrink the
+            # (Jv1, Jv2) component until the form is admissible
+            x = frame.frame_coords(p)
+            scale = (t / np.sqrt(np.pi)) / np.hypot(x[2], x[3]) * rng.uniform(0.2, 1.0)
+            x[2] *= scale
+            x[3] *= scale
+            x[:2] *= np.sqrt(max(1.0 / np.pi - x[2] ** 2 - x[3] ** 2, 0.0)) / np.hypot(x[0], x[1])
+            p = frame.from_frame_coords(x)
+        starts.append(p)
+    return np.reshape(starts, (-1, 4))
+
+
 @pytest.mark.parametrize("t", [0.1, 0.2, 0.25, 0.38, 0.4, 0.52, 0.59, 0.75, 0.765, 0.9])
 def test_stacked_kernel_matches_scalar_reference_on_scan_starts(t):
     # 32 sampled starts per seed, most of them running all 64 arcs
     f = ob.OrbitFrame.standard(t)
     for seed in range(3):
-        starts = ob._scan_starts(f, 32, seed)
+        starts = scan_starts(f, 32, seed)
         assert_matches_reference(ob.integrate_orbits(starts, f), starts, f)
 
 
@@ -362,6 +384,19 @@ def test_stacked_kernel_on_a_mixed_stack():
         assert alone.regions == orbit.regions
         assert np.allclose([a.angle for a in alone.arcs], [a.angle for a in orbit.arcs],
                            rtol=0.0, atol=1e-13)
+
+
+def test_glide_starts_integrate_to_their_own_glide_on_a_grid():
+    # the only corner glide points are rho = 0 (PLUS) and rho = rho_max
+    # (MINUS); rho^2 read off the kernel's quadratic form carries rounding
+    # of about 1e-15, which a split at rho^2 = 1e-16 sent to MINUS
+    for t in np.arange(1, 100) / 100:
+        f = ob.OrbitFrame.standard(t)
+        for branch in (ob.PLUS, ob.MINUS) if t < 0.5 else (ob.PLUS,):
+            glide = ob.glide_orbit(t, branch)
+            orbit = ob.integrate_orbit(glide.arcs[0].start, f)
+            assert orbit.closed and orbit.regions == [ob.CORNER_GLIDE], (t, branch)
+            assert orbit.action == glide.action, (t, branch)
 
 
 def test_stacked_kernel_full_turn_row_beside_rooted_rows_warns_nothing():
@@ -417,6 +452,30 @@ def test_minus_glide_point_above_half_lies_on_a_touching_hopf_circle(t):
     pts = ob.s1_flow(p, np.linspace(0.0, 2.0 * np.pi, 2001))
     assert np.max(np.pi * ((pts @ f.jv1) ** 2 + (pts @ f.jv2) ** 2)) <= t * t + 1e-12
     orbit = ob.integrate_orbit(p, f)
+    assert orbit.closed and orbit.regions == [ob.S1] and orbit.action == 1.0
+
+
+@pytest.mark.parametrize("t", [0.3, 0.45, 0.5, 0.55, 0.7, 0.9])
+def test_census_holds_a_hopf_circle_exactly_from_half(t):
+    # a Hopf circle stays in S1 only from t = 1/2 on.  Below, the census
+    # holds no pure S1 orbit and no start of a fixed set closes as one S1
+    # arc; from 1/2 on, the census's circle through the MINUS corner point
+    # touches the cylinder from inside and integrates to itself
+    f = ob.OrbitFrame.standard(t)
+    _, _, found = ob.min_action_scan(t)
+    hopf = [orbit for orbit in found if orbit.regions == [ob.S1]]
+    if t < 0.5:
+        assert hopf == []
+        for seed in range(3):
+            orbits = ob.integrate_orbits(scan_starts(f, 32, seed), f, max_arcs=1)
+            assert all(orbit.regions == [ob.S1] for orbit in orbits)
+            assert not any(orbit.closed for orbit in orbits)
+        return
+    (circle,) = hopf
+    assert circle.closed and circle.action == 1.0
+    pts = circle.sample_points()
+    assert np.max(np.pi * ((pts @ f.jv1) ** 2 + (pts @ f.jv2) ** 2) - t * t) <= 1e-12
+    orbit = ob.integrate_orbit(circle.arcs[0].start, f)
     assert orbit.closed and orbit.regions == [ob.S1] and orbit.action == 1.0
 
 
@@ -584,35 +643,49 @@ def test_small_circle_radius_bounds_theta_tilde():
         assert theta_tilde < arc.angle + 1e-12
 
 
+# closed-form actions of the census, in its order: the PLUS glide, the
+# MINUS glide (t < 1/2) or the touching Hopf circle, the alternating orbits
+CENSUS_ACTIONS = {
+    0.25: [0.25, 0.6875, 0.456677925, 0.5605188592, 0.7344579931, 0.6093989719,
+           0.6348726743, 0.992096523, 1.0372171938, 0.6496347317, 1.2013077996,
+           0.6589291903],
+    0.5: [0.5, 1.0, 0.9092217113, 1.4727134897, 1.986753754, 1.9770904231, 2.4096655294],
+    0.75: [0.75, 1.0, 2.2204187219, 2.2626904877, 2.9873340985, 3.2381411935],
+}
+
+
 @pytest.mark.parametrize("t, found_by_seed", [
-    (0.25, (2, 2, 2)), (0.5, (1, 1, 1)), (0.75, (17, 9, 15))])
+    (0.25, (12, 12, 12)), (0.5, (7, 7, 7)), (0.75, (6, 6, 6))])
 def test_min_action_scan_sampler_contract_is_pinned(t, found_by_seed):
-    # the starts and their orbits of the per-sample scan: the PLUS glide is
-    # the minimum; t < 1/2 adds the MINUS glide, t = 3/4 closed Hopf circles
+    # the census is deterministic: samples and seed are ignored, the PLUS
+    # glide comes first and is the minimum, exactly t
     for seed, n_found in enumerate(found_by_seed):
         action, best, found = ob.min_action_scan(t, samples=32, seed=seed)
-        assert action == t
+        assert action == t and best is found[0]
         assert len(found) == n_found
-        expected = [t] + ([t * (3.0 - 4.0 * t * t)] if t < 0.5 else [1.0] * (n_found - 1))
-        assert np.allclose(sorted(o.action for o in found), expected, rtol=0.0, atol=1e-12)
+        assert np.allclose([o.action for o in found], CENSUS_ACTIONS[t], rtol=0.0, atol=1e-9)
+
+
+def test_min_action_scan_is_the_plus_glide_on_a_grid():
+    for t in np.arange(1, 100) / 100:
+        action, best, found = ob.min_action_scan(t)
+        assert action == t and best is found[0]
+        assert best.regions == [ob.CORNER_GLIDE]
+        assert np.array_equal(best.arcs[0].start, ob.glide_orbit(t, ob.PLUS).arcs[0].start)
+        assert all(orbit.closed for orbit in found)
+        assert all(orbit.action > t for orbit in found[1:])
 
 
 def test_min_action_scan_returns_t():
     for t in (0.25, 0.75):
-        action, best, found = ob.min_action_scan(t, samples=16, seed=0)
+        action, best, found = ob.min_action_scan(t)
         assert action == pytest.approx(t, abs=1e-3)
         assert best.closed
     # t < 1/2 also reports the minus glide among the census
-    action, best, found = ob.min_action_scan(0.25, samples=8, seed=0)
+    action, best, found = ob.min_action_scan(0.25)
     actions = sorted(o.action for o in found)
     assert actions[0] == pytest.approx(0.25, abs=1e-12)
     assert any(abs(a - 0.25 * (3 - 4 * 0.25 ** 2)) < 1e-9 for a in actions)
-
-
-@pytest.mark.parametrize("samples", [-1, 2.5])
-def test_min_action_scan_rejects_bad_sample_count(samples):
-    with pytest.raises(ValueError, match="samples"):
-        ob.min_action_scan(0.3, samples=samples)
 
 
 def test_minus_action_near_half_approaches_hopf_value():
@@ -639,7 +712,7 @@ def test_scan_agrees_with_dual_action_capacity():
     from symcap import bodies as bd
     from symcap import ehz
     t = 0.5
-    action, _, _ = ob.min_action_scan(t, samples=8, seed=0)
+    action, _, _ = ob.min_action_scan(t)
     res = ehz.ehz_capacity(bd.ball_cap_cylinder_intersection(t),
                            N=128, restarts=4, seed=0)
     assert abs(action - res.capacity) / t < 0.03
