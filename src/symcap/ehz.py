@@ -4,13 +4,15 @@ For a convex body T the capacity is the minimum of
 (pi/2) int h_T^2(eta'(t)) dt over mean-zero loops eta with symplectic
 action 1.  Both the functional and the action are 2-homogeneous, so the
 constrained problem is equivalent to minimizing their ratio, which is what
-the quasi-Newton solver does on a midpoint-sampled velocity grid.
+the quasi-Newton solver does on a midpoint-sampled velocity grid.  The
+solver is a numpy L-BFGS in compact form (Byrd, Nocedal and Schnabel 1994)
+that runs all restarts in lockstep: each step evaluates every live restart
+in one stacked objective call, and so one support_batch call.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bodies import (ConvexBody, EllipsoidBody, UnboundedDirectionError,
                      ellipsoid_ehz_oracle, slice_ellipsoid)
@@ -25,10 +27,16 @@ _SMOOTHING = (1e-2, 1e-3, 1e-4)
 # even and at least twice this, and the best loop is refined from there.
 _COARSE_N = 64
 
+# L-BFGS: curvature pairs kept per row, the relative reduction at which a
+# row stops ("ftol"), and the trials one line search may make
+_MEMORY = 20
+_FTOL = 1e-14
+_TRIALS = 20
+
 
 def _midpoints(v: np.ndarray, dt: float) -> np.ndarray:
     """Midpoint positions of the piecewise-linear loop with velocities v."""
-    return dt * (np.cumsum(v, axis=0) - 0.5 * v)
+    return dt * (np.cumsum(v, axis=-2) - 0.5 * v)
 
 
 @dataclass
@@ -127,13 +135,20 @@ class EhzResult:
     The restarts run at the coarse level N0 of the ladder (N0 = N when
     there is no ladder).  history holds each restart's exact ratio at N0;
     restart_log holds one record per restart: value (that ratio), nit and
-    nfev summed over the smoothing stages, the number of stages, the last
-    stage's stop message and grad_norm, the gradient norm of the rounded
-    objective that stage minimized.  restart_agreement counts the restarts
-    whose ratio lies within 1e-6 relative of min(history); a low count
-    means restarts stalled elsewhere.  polish holds one record per
-    doubling of N: N, nit, nfev and the stop message.  converged and
-    grad_norm describe the last stage run, at N.
+    nfev (this restart's accepted steps and objective evaluations) summed
+    over the smoothing stages, the number of stages, the last stage's stop
+    message and grad_norm, the gradient norm of the rounded objective that
+    stage minimized.  restart_agreement counts the restarts whose ratio
+    lies within 1e-6 relative of min(history); a low count means restarts
+    stalled elsewhere.  polish holds one record per doubling of N: N, nit,
+    nfev and the stop message.
+
+    A stop message is one of "gtol" (max |grad| <= grad_tol), "ftol" (the
+    last step lowered the objective by at most 1e-14 relative), "maxiter"
+    (max_iter steps) or "linesearch" (20 trials found no Armijo step).
+    converged is True when the last stage run, the last polish or else the
+    best restart's last smoothing stage, stopped on "gtol" or "ftol".
+    grad_norm is the exact objective's gradient norm at N.
     """
 
     capacity: float
@@ -167,27 +182,141 @@ class EhzResult:
         }
 
 
-def _ratio_and_grad(w: np.ndarray, body: ConvexBody, N: int, dim: int,
+def _ratio_and_grad(W: np.ndarray, body: ConvexBody, N: int, dim: int,
                     smooth: float = 0.0):
-    v = w.reshape(N, dim)
-    v = v - v.mean(axis=0)
+    """Ratio F / |A| and its gradient on each row of an (R, N * dim) stack.
+
+    Row r holds the N velocities of one loop; every row goes through one
+    support_batch call on all R * N velocities, and row r's outputs depend
+    on row r alone.  A row whose action vanishes (the line search wandered
+    to a degenerate loop) gets the large finite value 1e12 and the
+    functional gradient, which pushes it back.
+    """
+    R = W.shape[0]
+    v = W.reshape(R, N, dim)
+    v = v - v.mean(axis=1, keepdims=True)
     dt = 2.0 * np.pi / N
     Jpos = apply_J(_midpoints(v, dt))
-    action = 0.5 * dt * float(np.einsum("ij,ij->", Jpos, v))
-    h, pts = body.support_batch(v, smooth=smooth)
-    F = 0.5 * np.pi * dt * float(np.sum(h * h))
-    gF = np.pi * dt * h[:, None] * pts
-    if abs(action) < 1e-14:
-        # line search wandered to a degenerate loop; push back with a
-        # large finite value and the functional gradient
-        g = gF - gF.mean(axis=0)
-        return 1e12, g.ravel()
-    sign = 1.0 if action > 0 else -1.0
-    ratio = F / abs(action)
-    gA = dt * Jpos
-    g = (gF - ratio * sign * gA) / abs(action)
-    g = g - g.mean(axis=0)
-    return ratio, g.ravel()
+    action = 0.5 * dt * np.einsum("rij,rij->r", Jpos, v)
+    h, pts = body.support_batch(v.reshape(R * N, dim), smooth=smooth)
+    h = h.reshape(R, N)
+    F = 0.5 * np.pi * dt * np.sum(h * h, axis=1)
+    g = np.pi * dt * h[..., None] * pts.reshape(R, N, dim)
+    degenerate = np.abs(action) < 1e-14
+    size = np.where(degenerate, 1.0, np.abs(action))
+    ratio = F / size
+    slope = np.where(degenerate, 0.0, ratio * np.sign(action))
+    g = (g - slope[:, None, None] * dt * Jpos) / size[:, None, None]
+    g = g - g.mean(axis=1, keepdims=True)
+    return np.where(degenerate, 1e12, ratio), g.reshape(R, N * dim)
+
+
+def _inverse_hessian_times(G, mem, gram, Rinv, gamma):
+    """H G row by row, H the compact limited-memory inverse Hessian.
+
+    H = gamma I + [S, gamma Y] M [S, gamma Y]^T, where M is built from the
+    triangle R of S^T Y (R_ij = s_i . y_j for pair i stored no later than
+    pair j) and its diagonal D (Byrd, Nocedal and Schnabel 1994, eq. 2.6).
+    mem holds the pairs in ring slots (s in the first m, y in the last m),
+    gram their Gram matrix and Rinv the inverse of R in slot coordinates;
+    empty slots are zero in all three, so they drop out of H G.
+    """
+    m = Rinv.shape[1]
+    q = mem @ G[:, :, None]
+    r = Rinv @ q[:, :m]
+    t = (np.diagonal(gram[:, :m, m:], axis1=1, axis2=2)[:, :, None] * r
+         + gamma[:, None, None] * (gram[:, m:, m:] @ r - q[:, m:]))
+    coef = np.concatenate([np.swapaxes(Rinv, 1, 2) @ t, -gamma[:, None, None] * r], axis=1)
+    return gamma[:, None] * G + (np.swapaxes(coef, 1, 2) @ mem)[:, 0]
+
+
+def _lbfgs(fun, X, grad_tol: float, max_iter: int):
+    """L-BFGS on every row of X at once (Liu and Nocedal 1989).
+
+    fun maps an (R, n) stack to values (R,) and gradients (R, n), row r of
+    its output depending on row r of its input alone.  Each step makes one
+    fun call on the trial points of all live rows.  A row keeps its own
+    memory of the last _MEMORY curvature pairs (a pair with
+    s . y <= 1e-12 |s| |y| is skipped), direction and Armijo backtracking
+    line search: the trial step is 1 (1 / |d| while the memory is empty)
+    and a rejected one shrinks to the minimizer of the parabola through
+    the two values and the slope, clipped to [0.1, 0.5] of it.  A row
+    stops, and drops out of the stack, with one of these reasons:
+
+    - "gtol": max |grad| <= grad_tol, checked at the start too;
+    - "ftol": an accepted step lowered f by at most
+      _FTOL * max(|f_old|, |f_new|, 1);
+    - "maxiter": max_iter steps were accepted;
+    - "linesearch": _TRIALS trials in a row found no Armijo step.
+
+    Returns the final rows, their gradients, and per row the accepted
+    steps, the fun evaluations and the stop reason.
+    """
+    X = np.array(X, dtype=float)
+    R, n = X.shape
+    m = _MEMORY
+    f, G = fun(X)
+    x_out, g_out = X.copy(), G.copy()
+    nit, nfev = np.zeros(R, dtype=int), np.ones(R, dtype=int)
+    stop = np.where(np.abs(G).max(axis=1) <= grad_tol, "gtol", "").astype("<U10")
+    # per live row: the pairs in ring slots, their Gram matrix, R^-1 in slot
+    # coordinates (see _inverse_hessian_times), the pairs stored (the ring
+    # position), the scale gamma, and the line search's direction, step and
+    # trials
+    mem = np.zeros((R, 2 * m, n))
+    gram = np.zeros((R, 2 * m, 2 * m))
+    Rinv = np.zeros((R, m, m))
+    ring, gamma = np.zeros(R, dtype=int), np.ones(R)
+    D = -G
+    alpha = 1.0 / np.maximum(np.linalg.norm(D, axis=1), 1e-300)
+    trials = np.zeros(R, dtype=int)
+    rows = np.arange(R)
+    live = stop == ""
+    while live.any():
+        if not live.all():
+            rows, X, f, G, D, alpha, trials, mem, gram, Rinv, ring, gamma = (
+                a[live] for a in (rows, X, f, G, D, alpha, trials,
+                                  mem, gram, Rinv, ring, gamma))
+        Xt = X + alpha[:, None] * D
+        ft, Gt = fun(Xt)
+        nfev[rows] += 1
+        trials += 1
+        gd = np.einsum("ij,ij->i", G, D)
+        # a direction that rounding left uphill fails every trial
+        ok = (gd < 0.0) & (ft <= f + 1e-4 * alpha * gd)
+        curv = ft - f - gd * alpha
+        shrink = np.fmin(np.fmax(-0.5 * gd * alpha ** 2 / np.where(curv > 0, curv, np.inf),
+                                 0.1 * alpha), 0.5 * alpha)
+        s, y, f_old = Xt - X, Gt - G, f
+        X, G, f = np.where(ok[:, None], Xt, X), np.where(ok[:, None], Gt, G), np.where(ok, ft, f)
+        nit[rows] += ok
+        small = f_old - f <= _FTOL * np.maximum(np.maximum(abs(f_old), abs(f)), 1.0)
+        reason = np.select(
+            [~ok & (trials >= _TRIALS), ~ok, np.abs(G).max(axis=1) <= grad_tol, small,
+             nit[rows] >= max_iter], ["linesearch", "", "gtol", "ftol", "maxiter"], "")
+        live = reason == ""
+        done = rows[~live]
+        x_out[done], g_out[done], stop[done] = X[~live], G[~live], reason[~live]
+        # the pair of an accepted step replaces its row's oldest: R^-1 loses
+        # that pair's row and column, and gains the new last column
+        sy = np.einsum("ij,ij->i", s, y)
+        add = np.flatnonzero(ok & live & (sy > 1e-12 * np.linalg.norm(s, axis=1)
+                                          * np.linalg.norm(y, axis=1)))
+        j = ring[add] % m
+        mem[add, j], mem[add, m + j] = s[add], y[add]
+        c = (mem @ np.stack([s, y], axis=2))[add]
+        gram[add, :, j] = gram[add, j, :] = c[:, :, 0]
+        gram[add, :, m + j] = gram[add, m + j, :] = c[:, :, 1]
+        Rinv[add, j, :] = Rinv[add, :, j] = 0.0
+        Rinv[add, :, j] = -(Rinv[add] @ c[:, :m, 1:])[:, :, 0] / sy[add, None]
+        Rinv[add, j, j] = 1.0 / sy[add]
+        ring[add] += 1
+        gamma[add] = sy[add] / c[np.arange(add.size), m + j, 1]
+        D = np.where(ok[:, None], -_inverse_hessian_times(G, mem, gram, Rinv, gamma), D)
+        first = 1.0 / np.maximum(np.linalg.norm(D, axis=1), 1e-300)
+        alpha = np.where(ok, np.where(ring > 0, 1.0, first), shrink)
+        trials[ok] = 0
+    return x_out, g_out, nit, nfev, stop.tolist()
 
 
 def _fourier_start(rng: np.random.Generator, N: int, dim: int, modes: int = 3) -> np.ndarray:
@@ -217,7 +346,7 @@ def _count(name: str, value, least: int) -> int:
 def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
                  seed: int = 0, grad_tol: float = 1e-8,
                  max_iter: int = 5000) -> EhzResult:
-    """Capacity estimate by multi-start quasi-Newton descent of the ratio.
+    """Capacity estimate by multi-start L-BFGS descent of the ratio.
 
     The descent is coarse to fine in N.  The restarts run at the coarse
     level N0: N halved while it is even and at least 2 * _COARSE_N (so
@@ -228,12 +357,16 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
     rounding level.  history and restart_agreement thus describe the
     restarts at N0; capacity, loop, converged and grad_norm describe N.
 
+    All restarts descend together, one row each of a stack, through the
+    lockstep L-BFGS of _lbfgs (memory 20, stop on max |grad| <= grad_tol,
+    a relative reduction of at most 1e-14, max_iter steps or a failed line
+    search); a restart's result does not depend on the other rows.
     Restart k draws its Fourier-mode initialization from a generator
     seeded with (seed, k), so the result is reproducible regardless of
-    evaluation order.  Descent runs on the kink-rounded support.  On a
-    body whose support is kinked (`body.kinked`), each restart descends
+    the number of restarts.  Descent runs on the kink-rounded support.  On
+    a body whose support is kinked (`body.kinked`), the restarts descend
     at the rounding levels of _SMOOTHING in turn, each level started from
-    the previous minimizer; L-BFGS crawls at the fine level from a cold
+    the previous minimizers; L-BFGS crawls at the fine level from a cold
     start but converges quickly from the coarse minimizer.  Every other
     body descends once at the finest level, where rounding changes
     nothing.  The reported capacity is the exact (unrounded) ratio at the
@@ -241,6 +374,7 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
     """
     N = _count("N", N, 16)
     restarts = _count("restarts", restarts, 1)
+    max_iter = _count("max_iter", max_iter, 1)
     dim = body.dim
     # reject unbounded bodies up front by probing the coordinate directions
     probe = np.vstack([np.eye(dim), -np.eye(dim)])
@@ -250,49 +384,40 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
     while N0 % 2 == 0 and N0 >= 2 * _COARSE_N:
         N0 //= 2
     schedule = _SMOOTHING if body.kinked else _SMOOTHING[-1:]
-    options = {"maxiter": max_iter, "gtol": grad_tol, "ftol": 1e-14, "maxcor": 20}
 
-    def descend(w, n, smooth):
-        return minimize(_ratio_and_grad, w, args=(body, n, dim, smooth),
-                        jac=True, method="L-BFGS-B", options=options)
+    def descend(X, n, smooth):
+        return _lbfgs(lambda W: _ratio_and_grad(W, body, n, dim, smooth), X,
+                      grad_tol, max_iter)
 
-    best = None
-    history = []
-    restart_log = []
-    for k in range(restarts):
-        rng = np.random.default_rng([seed, k])
-        w = _fourier_start(rng, N0, dim).ravel()
-        nit = nfev = 0
-        for smooth in schedule:
-            res = descend(w, N0, smooth)
-            w = res.x
-            nit += int(res.nit)
-            nfev += int(res.nfev)
-        ratio, _ = _ratio_and_grad(res.x, body, N0, dim)
-        history.append(float(ratio))
-        restart_log.append({"value": float(ratio), "nit": nit, "nfev": nfev,
-                            "stages": len(schedule), "message": str(res.message),
-                            "grad_norm": float(np.linalg.norm(res.jac))})
-        if best is None or ratio < best[0]:
-            best = (ratio, res)
-    res = best[1]
+    X = np.stack([_fourier_start(np.random.default_rng([seed, k]), N0, dim).ravel()
+                  for k in range(restarts)])
+    nit = nfev = 0
+    for smooth in schedule:
+        X, G, steps, evals, stop = descend(X, N0, smooth)
+        nit, nfev = nit + steps, nfev + evals
+    history = _ratio_and_grad(X, body, N0, dim)[0].tolist()
+    grad_norms = np.linalg.norm(G, axis=1)
+    restart_log = [{"value": history[k], "nit": int(nit[k]), "nfev": int(nfev[k]),
+                    "stages": len(schedule), "message": stop[k],
+                    "grad_norm": float(grad_norms[k])} for k in range(restarts)]
+    best = int(np.argmin(history))
+    x, last = X[best:best + 1], stop[best]
     polish = []
     n = N0
     while n < N:
         n *= 2
-        w = np.repeat(res.x.reshape(n // 2, dim), 2, axis=0).ravel()
-        res = descend(w, n, schedule[-1])
-        polish.append({"N": n, "nit": int(res.nit), "nfev": int(res.nfev),
-                       "message": str(res.message)})
-    ratio, grad = _ratio_and_grad(res.x, body, N, dim)
-    loop = DualLoop(res.x.reshape(N, dim))
+        x = np.repeat(x.reshape(n // 2, dim), 2, axis=0).reshape(1, -1)
+        x, _, steps, evals, stop = descend(x, n, schedule[-1])
+        last = stop[0]
+        polish.append({"N": n, "nit": int(steps[0]), "nfev": int(evals[0]), "message": last})
+    ratio, grad = _ratio_and_grad(x, body, N, dim)
+    loop = DualLoop(x.reshape(N, dim))
     act = loop_action(loop)
     if act < 0:
         loop = DualLoop(-loop.velocities[::-1])
-    grad_norm = float(np.linalg.norm(grad))
-    return EhzResult(capacity=float(ratio), loop=loop, restarts=restarts,
-                     n_samples=N, seed=seed, converged=bool(res.success) or grad_norm <= 1e-5,
-                     grad_norm=grad_norm, history=history,
+    return EhzResult(capacity=float(ratio[0]), loop=loop, restarts=restarts,
+                     n_samples=N, seed=seed, converged=last in ("gtol", "ftol"),
+                     grad_norm=float(np.linalg.norm(grad)), history=history,
                      restart_log=restart_log, polish=polish)
 
 

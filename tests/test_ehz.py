@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from symcap import bodies as bd
 from symcap import ehz
@@ -154,7 +155,7 @@ def test_capacity_accepts_numpy_integer_counts():
 
 
 def _ratio(v, body):
-    return ehz._ratio_and_grad(v.ravel(), body, v.shape[0], v.shape[1])[0]
+    return ehz._ratio_and_grad(v.reshape(1, -1), body, v.shape[0], v.shape[1])[0][0]
 
 
 def test_repeated_velocities_keep_the_exact_ratio():
@@ -287,6 +288,102 @@ def test_ellipsoid_closed_form_and_product_rule():
     assert ehz.product2_capacity(3.0, 1.0) == 1.0
     with pytest.raises(ValueError):
         ehz.product2_capacity(-1.0, 1.0)
+
+
+# ------------------------------------------------------ lockstep L-BFGS
+
+
+def _tagged_quadratics(X):
+    # row r: 1e4 * 0.5 sum_i a_i (x_i - 1)^2 with a_i geometric from 1 to
+    # the row's condition number, kept in its last entry; that entry's
+    # gradient is zero, so the descent never moves it.  The factor 1e4 makes
+    # the ftol stop, a drop of at most 1e-14 near f = 0, come within about
+    # 1e-9 of the minimizer
+    cond = X[:, -1:]
+    a = cond ** np.linspace(0.0, 1.0, X.shape[1] - 1)
+    dev = X[:, :-1] - 1.0
+    g = np.hstack([a * dev, np.zeros_like(cond)])
+    return 1e4 * 0.5 * np.sum(a * dev * dev, axis=1), 1e4 * g
+
+
+def test_lockstep_rows_reach_their_minimizers_and_stop_on_their_own():
+    conds = np.array([1.0, 10.0, 1e2, 1e3, 1e4])
+    X0 = np.hstack([np.random.default_rng(0).normal(size=(5, 12)), conds[:, None]])
+    X, G, nit, nfev, stop = ehz._lbfgs(_tagged_quadratics, X0, grad_tol=1e-9, max_iter=500)
+    assert np.max(np.abs(X[:, :-1] - 1.0)) <= 1e-8
+    assert np.array_equal(X[:, -1], conds)
+    assert set(stop) <= {"gtol", "ftol"}
+    assert len(set(nit.tolist())) > 1 and nit[0] < nit[-1]
+    assert np.all(nfev > nit)
+    # each row descends as it would alone
+    for k in (0, 3):
+        alone = ehz._lbfgs(_tagged_quadratics, X0[k:k + 1], grad_tol=1e-9, max_iter=500)
+        assert np.array_equal(alone[0][0], X[k])
+        assert (alone[2][0], alone[3][0], alone[4][0]) == (nit[k], nfev[k], stop[k])
+
+
+def test_stationary_row_stops_at_once_on_gtol():
+    X0 = np.array([[1.0] * 6 + [10.0], [3.0] * 6 + [10.0]])
+    X, G, nit, nfev, stop = ehz._lbfgs(_tagged_quadratics, X0, grad_tol=1e-9, max_iter=500)
+    assert (nit[0], nfev[0], stop[0]) == (0, 1, "gtol")
+    assert np.array_equal(X[0], X0[0])
+    assert nfev[1] > 1 and np.max(np.abs(X[1, :-1] - 1.0)) <= 1e-8
+
+
+def test_zero_action_row_gets_the_sentinel_alone():
+    N = 64
+    s = (np.arange(N // 2) + 0.5) * (2 * np.pi / (N // 2))
+    lobe = np.zeros((N // 2, 4))
+    lobe[:, 0] = -np.sin(s)
+    lobe[:, 1] = np.cos(s)
+    eight = np.vstack([lobe, -lobe[::-1]])
+    start = ehz._fourier_start(np.random.default_rng(3), N, 4)
+    W = np.stack([ehz.DualLoop.circle(1.0, N).velocities, eight, start]).reshape(3, -1)
+    body = bd.ball_cap_cylinder_intersection(0.5)
+    ratio, grad = ehz._ratio_and_grad(W, body, N, 4, smooth=1e-3)
+    assert ratio[1] == 1e12 and np.all(ratio[[0, 2]] < 10.0)
+    for k in (0, 2):
+        alone = ehz._ratio_and_grad(W[k:k + 1], body, N, 4, smooth=1e-3)
+        assert alone[0][0] == ratio[k] and np.array_equal(alone[1][0], grad[k])
+
+
+@pytest.mark.parametrize("body", [
+    bd.ball_cap_cylinder_intersection(0.5),
+    bd.EllipsoidBody.from_radii([1.0, 0.4]).linear_image(
+        random_symplectic_matrix(2, np.random.default_rng(3)))])
+def test_restart_results_do_not_depend_on_the_other_restarts(body):
+    few = ehz.ehz_capacity(body, N=256, restarts=3, seed=0)
+    many = ehz.ehz_capacity(body, N=256, restarts=8, seed=0)
+    assert few.history == many.history[:3]
+    assert few.restart_log == many.restart_log[:3]
+
+
+def test_converged_means_the_last_stage_stopped_on_a_tolerance():
+    body = bd.ball_cap_cylinder_intersection(0.5)
+    capped = ehz.ehz_capacity(body, N=128, restarts=2, seed=0, max_iter=3)
+    assert not capped.converged
+    assert capped.polish[-1]["message"] == "maxiter"
+    for rec in capped.restart_log:
+        assert (rec["message"], rec["nit"]) == ("maxiter", 3 * rec["stages"])
+    full = ehz.ehz_capacity(body, N=128, restarts=2, seed=0)
+    assert full.converged and full.polish[-1]["message"] in ("gtol", "ftol")
+    with pytest.raises(ValueError, match="^max_iter must be at least 1"):
+        ehz.ehz_capacity(body, max_iter=0)
+
+
+def test_criterion_2_ellipsoids_agree_with_scipy_lbfgsb():
+    def objective(w, body):
+        ratio, grad = ehz._ratio_and_grad(w[None], body, 256, 4)
+        return ratio[0], grad[0]
+
+    options = {"maxiter": 5000, "gtol": 1e-8, "ftol": 1e-14, "maxcor": 20}
+    for t in (0.25, 0.5, 0.75):
+        body = bd.EllipsoidBody.from_radii([1.0, t])
+        est = ehz.ehz_capacity(body, N=256, restarts=8, seed=0).capacity
+        w0 = ehz._fourier_start(np.random.default_rng([0, 0]), 256, 4).ravel()
+        ref = minimize(objective, w0, args=(body,), jac=True, method="L-BFGS-B",
+                       options=options)
+        assert est == pytest.approx(ref.fun, rel=1e-8)
 
 
 # ----------------------------------------------------- limit experiment
