@@ -32,6 +32,9 @@ _COARSE_N = 64
 _MEMORY = 20
 _FTOL = 1e-14
 _TRIALS = 20
+# a row's stop code in _lbfgs indexes its reason in _STOPS; 0 is still live
+_STOPS = ("", "gtol", "ftol", "maxiter", "linesearch")
+_LIVE, _AT_GTOL, _AT_FTOL, _AT_MAXITER, _AT_LINESEARCH = range(5)
 
 
 def _midpoints(v: np.ndarray, dt: float) -> np.ndarray:
@@ -194,7 +197,7 @@ def _ratio_and_grad(W: np.ndarray, body: ConvexBody, N: int, dim: int,
     """
     R = W.shape[0]
     v = W.reshape(R, N, dim)
-    v = v - v.mean(axis=1, keepdims=True)
+    v = v - v.sum(axis=1, keepdims=True) / N
     dt = 2.0 * np.pi / N
     Jpos = apply_J(_midpoints(v, dt))
     action = 0.5 * dt * np.einsum("rij,rij->r", Jpos, v)
@@ -202,30 +205,33 @@ def _ratio_and_grad(W: np.ndarray, body: ConvexBody, N: int, dim: int,
     h = h.reshape(R, N)
     F = 0.5 * np.pi * dt * np.sum(h * h, axis=1)
     g = np.pi * dt * h[..., None] * pts.reshape(R, N, dim)
-    degenerate = np.abs(action) < 1e-14
-    size = np.where(degenerate, 1.0, np.abs(action))
+    size = np.abs(action)
+    degenerate = size < 1e-14
+    size[degenerate] = 1.0
     ratio = F / size
     slope = np.where(degenerate, 0.0, ratio * np.sign(action))
-    g = (g - slope[:, None, None] * dt * Jpos) / size[:, None, None]
-    g = g - g.mean(axis=1, keepdims=True)
-    return np.where(degenerate, 1e12, ratio), g.reshape(R, N * dim)
+    g -= np.multiply(slope[:, None, None] * dt, Jpos, out=Jpos)
+    g /= size[:, None, None]
+    g -= g.sum(axis=1, keepdims=True) / N
+    ratio[degenerate] = 1e12
+    return ratio, g.reshape(R, N * dim)
 
 
-def _inverse_hessian_times(G, mem, gram, Rinv, gamma):
+def _inverse_hessian_times(G, mem, sty, yty, Rinv, gamma):
     """H G row by row, H the compact limited-memory inverse Hessian.
 
     H = gamma I + [S, gamma Y] M [S, gamma Y]^T, where M is built from the
     triangle R of S^T Y (R_ij = s_i . y_j for pair i stored no later than
-    pair j) and its diagonal D (Byrd, Nocedal and Schnabel 1994, eq. 2.6).
-    mem holds the pairs in ring slots (s in the first m, y in the last m),
-    gram their Gram matrix and Rinv the inverse of R in slot coordinates;
-    empty slots are zero in all three, so they drop out of H G.
+    pair j), its diagonal D and Y^T Y (Byrd, Nocedal and Schnabel 1994,
+    eq. 2.6).  mem holds the pairs in ring slots (s in the first m, y in
+    the last m), sty the diagonal s_i . y_i, yty the Gram matrix Y^T Y and
+    Rinv the inverse of R, all in slot coordinates; empty slots are zero in
+    all of them, so they drop out of H G.
     """
     m = Rinv.shape[1]
     q = mem @ G[:, :, None]
     r = Rinv @ q[:, :m]
-    t = (np.diagonal(gram[:, :m, m:], axis1=1, axis2=2)[:, :, None] * r
-         + gamma[:, None, None] * (gram[:, m:, m:] @ r - q[:, m:]))
+    t = sty[:, :, None] * r + gamma[:, None, None] * (yty @ r - q[:, m:])
     coef = np.concatenate([np.swapaxes(Rinv, 1, 2) @ t, -gamma[:, None, None] * r], axis=1)
     return gamma[:, None] * G + (np.swapaxes(coef, 1, 2) @ mem)[:, 0]
 
@@ -240,8 +246,10 @@ def _lbfgs(fun, X, grad_tol: float, max_iter: int):
     s . y <= 1e-12 |s| |y| is skipped), direction and Armijo backtracking
     line search: the trial step is 1 (1 / |d| while the memory is empty)
     and a rejected one shrinks to the minimizer of the parabola through
-    the two values and the slope, clipped to [0.1, 0.5] of it.  A row
-    stops, and drops out of the stack, with one of these reasons:
+    the two values and the slope, clipped to [0.1, 0.5] of it.  Besides
+    the pairs, a row keeps only what _inverse_hessian_times reads of their
+    Gram matrix: the diagonal of S^T Y and the block Y^T Y.  A row stops,
+    and drops out of the stack, with one of these reasons:
 
     - "gtol": max |grad| <= grad_tol, checked at the start too;
     - "ftol": an accepted step lowered f by at most
@@ -257,46 +265,61 @@ def _lbfgs(fun, X, grad_tol: float, max_iter: int):
     m = _MEMORY
     f, G = fun(X)
     x_out, g_out = X.copy(), G.copy()
-    nit, nfev = np.zeros(R, dtype=int), np.ones(R, dtype=int)
-    stop = np.where(np.abs(G).max(axis=1) <= grad_tol, "gtol", "").astype("<U10")
-    # per live row: the pairs in ring slots, their Gram matrix, R^-1 in slot
-    # coordinates (see _inverse_hessian_times), the pairs stored (the ring
-    # position), the scale gamma, and the line search's direction, step and
-    # trials
+    nit_out, nfev_out = np.zeros(R, dtype=int), np.ones(R, dtype=int)
+    stop = np.where(np.abs(G).max(axis=1) <= grad_tol, _AT_GTOL, _LIVE)
+    # per live row: the pairs in ring slots, s_i . y_i, Y^T Y and R^-1 in
+    # slot coordinates (see _inverse_hessian_times), the pairs stored (the
+    # ring position), the scale gamma, the line search's direction, step
+    # and trials, and the counts of accepted steps and evaluations
     mem = np.zeros((R, 2 * m, n))
-    gram = np.zeros((R, 2 * m, 2 * m))
+    sty = np.zeros((R, m))
+    yty = np.zeros((R, m, m))
     Rinv = np.zeros((R, m, m))
     ring, gamma = np.zeros(R, dtype=int), np.ones(R)
     D = -G
     alpha = 1.0 / np.maximum(np.linalg.norm(D, axis=1), 1e-300)
-    trials = np.zeros(R, dtype=int)
+    trials, nit, nfev = np.zeros(R, dtype=int), np.zeros(R, dtype=int), np.ones(R, dtype=int)
     rows = np.arange(R)
-    live = stop == ""
-    while live.any():
-        if not live.all():
-            rows, X, f, G, D, alpha, trials, mem, gram, Rinv, ring, gamma = (
-                a[live] for a in (rows, X, f, G, D, alpha, trials,
-                                  mem, gram, Rinv, ring, gamma))
+    live = stop == _LIVE
+    stopped = not live.all()
+    while True:
+        if stopped:
+            (rows, X, f, G, D, alpha, trials, nit, nfev, mem, sty, yty, Rinv, ring,
+             gamma) = (a[live] for a in (rows, X, f, G, D, alpha, trials, nit, nfev,
+                                         mem, sty, yty, Rinv, ring, gamma))
+            if not rows.size:
+                break
         Xt = X + alpha[:, None] * D
         ft, Gt = fun(Xt)
-        nfev[rows] += 1
-        trials += 1
+        nfev += 1
         gd = np.einsum("ij,ij->i", G, D)
         # a direction that rounding left uphill fails every trial
         ok = (gd < 0.0) & (ft <= f + 1e-4 * alpha * gd)
-        curv = ft - f - gd * alpha
-        shrink = np.fmin(np.fmax(-0.5 * gd * alpha ** 2 / np.where(curv > 0, curv, np.inf),
-                                 0.1 * alpha), 0.5 * alpha)
         s, y, f_old = Xt - X, Gt - G, f
-        X, G, f = np.where(ok[:, None], Xt, X), np.where(ok[:, None], Gt, G), np.where(ok, ft, f)
-        nit[rows] += ok
+        accepted = ok.all()
+        if accepted:
+            # the common step: every row takes its trial point
+            X, G, f = Xt, Gt, ft
+            nit += 1
+            trials[:] = 0
+        else:
+            X, G = np.where(ok[:, None], Xt, X), np.where(ok[:, None], Gt, G)
+            f = np.where(ok, ft, f)
+            nit += ok
+            trials = np.where(ok, 0, trials + 1)
         small = f_old - f <= _FTOL * np.maximum(np.maximum(abs(f_old), abs(f)), 1.0)
-        reason = np.select(
-            [~ok & (trials >= _TRIALS), ~ok, np.abs(G).max(axis=1) <= grad_tol, small,
-             nit[rows] >= max_iter], ["linesearch", "", "gtol", "ftol", "maxiter"], "")
-        live = reason == ""
-        done = rows[~live]
-        x_out[done], g_out[done], stop[done] = X[~live], G[~live], reason[~live]
+        gtol = np.abs(G).max(axis=1) <= grad_tol
+        live = ~(gtol | small | (nit >= max_iter))
+        if not accepted:
+            live = np.where(ok, live, trials < _TRIALS)
+        stopped = not live.all()
+        if stopped:
+            done = ~live
+            code = np.where(gtol, _AT_GTOL, np.where(small, _AT_FTOL, _AT_MAXITER))
+            code = np.where(ok, code, _AT_LINESEARCH)
+            at = rows[done]
+            x_out[at], g_out[at], stop[at] = X[done], G[done], code[done]
+            nit_out[at], nfev_out[at] = nit[done], nfev[done]
         # the pair of an accepted step replaces its row's oldest: R^-1 loses
         # that pair's row and column, and gains the new last column
         sy = np.einsum("ij,ij->i", s, y)
@@ -304,19 +327,30 @@ def _lbfgs(fun, X, grad_tol: float, max_iter: int):
                                           * np.linalg.norm(y, axis=1)))
         j = ring[add] % m
         mem[add, j], mem[add, m + j] = s[add], y[add]
-        c = (mem @ np.stack([s, y], axis=2))[add]
-        gram[add, :, j] = gram[add, j, :] = c[:, :, 0]
-        gram[add, :, m + j] = gram[add, m + j, :] = c[:, :, 1]
+        # s and y as the two columns of one product: only the y column is
+        # used, but y alone makes a matrix-vector product, which rounds its
+        # sums differently
+        pair = np.empty(s.shape + (2,))
+        pair[..., 0], pair[..., 1] = s, y
+        c = (mem @ pair)[add, :, 1]
+        sy, pick = sy[add], np.arange(add.size)
+        sty[add, j] = c[pick, j]
+        yty[add, :, j] = yty[add, j, :] = c[:, m:]
         Rinv[add, j, :] = Rinv[add, :, j] = 0.0
-        Rinv[add, :, j] = -(Rinv[add] @ c[:, :m, 1:])[:, :, 0] / sy[add, None]
-        Rinv[add, j, j] = 1.0 / sy[add]
+        Rinv[add, :, j] = -(Rinv[add] @ c[:, :m, None])[:, :, 0] / sy[:, None]
+        Rinv[add, j, j] = 1.0 / sy
         ring[add] += 1
-        gamma[add] = sy[add] / c[np.arange(add.size), m + j, 1]
-        D = np.where(ok[:, None], -_inverse_hessian_times(G, mem, gram, Rinv, gamma), D)
-        first = 1.0 / np.maximum(np.linalg.norm(D, axis=1), 1e-300)
-        alpha = np.where(ok, np.where(ring > 0, 1.0, first), shrink)
-        trials[ok] = 0
-    return x_out, g_out, nit, nfev, stop.tolist()
+        gamma[add] = sy / c[pick, m + j]
+        H = -_inverse_hessian_times(G, mem, sty, yty, Rinv, gamma)
+        first = np.where(ring > 0, 1.0, 1.0 / np.maximum(np.linalg.norm(H, axis=1), 1e-300))
+        if accepted:
+            D, alpha = H, first
+        else:
+            curv = ft - f_old - gd * alpha
+            shrink = np.fmin(np.fmax(-0.5 * gd * alpha ** 2 / np.where(curv > 0, curv, np.inf),
+                                     0.1 * alpha), 0.5 * alpha)
+            D, alpha = np.where(ok[:, None], H, D), np.where(ok, first, shrink)
+    return x_out, g_out, nit_out, nfev_out, [_STOPS[k] for k in stop]
 
 
 def _fourier_start(rng: np.random.Generator, N: int, dim: int, modes: int = 3) -> np.ndarray:
@@ -440,8 +474,10 @@ def scaled_limit_experiment(K: EllipsoidBody, L_list, N: int = 256,
     if not isinstance(K, EllipsoidBody):
         raise TypeError("the scaled-limit experiment expects an ellipsoid body")
     L_list = [float(L) for L in L_list]
-    if any(L <= 0 for L in L_list) or sorted(L_list) != L_list:
-        raise ValueError("L values must be positive and increasing")
+    if (not L_list or not np.all(np.isfinite(L_list)) or L_list[0] <= 0
+            or any(a >= b for a, b in zip(L_list, L_list[1:]))):
+        raise ValueError("L_list must be finite, positive and strictly increasing, "
+                         "with at least one value; got %r" % (L_list,))
     n = K.dim // 2
     rows = []
     for L in L_list:

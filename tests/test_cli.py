@@ -244,3 +244,19 @@ def test_no_module_imports_scipy():
                 continue
             found |= {(path.name, m) for m in names if m.split(".")[0] == "scipy"}
     assert found == set()
+
+
+def test_readme_commands_exit_zero(tmp_path):
+    # every `symcap` line of the README's "Command line" block runs and exits
+    # 0, with out/ moved under tmp_path; `verify --level full` is left to
+    # tests/test_acceptance.py, which runs its criteria one by one
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [line.split("#", 1)[0].split()[1:] for line in block.splitlines()
+                if line.startswith("symcap ")]
+    assert len(commands) == 7
+    for argv in commands:
+        if argv[:3] == ["verify", "--level", "full"]:
+            continue
+        argv = [str(tmp_path / "out") if a == "out/" else a for a in argv]
+        assert run(argv) == 0, argv

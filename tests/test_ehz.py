@@ -347,6 +347,76 @@ def test_zero_action_row_gets_the_sentinel_alone():
         assert alone[0][0] == ratio[k] and np.array_equal(alone[1][0], grad[k])
 
 
+def _sign_tagged_quadratics(X):
+    # _tagged_quadratics on all but the first entry, whose value (+1 or -1)
+    # multiplies the returned gradient: -1 makes every direction uphill.
+    # That entry's gradient is zero, so the tag never moves
+    f, g = _tagged_quadratics(X[:, 1:])
+    return f, np.hstack([np.zeros_like(X[:, :1]), X[:, :1] * g])
+
+
+def test_uphill_row_stops_on_linesearch_and_backtracking_rows_stay_independent():
+    conds = np.array([1.0, 10.0, 1e2, 1e3, 1e4])
+    X0 = np.hstack([np.ones((5, 1)), np.random.default_rng(0).normal(size=(5, 12)),
+                    conds[:, None]])
+    X0[2, 0] = -1.0
+    X, G, nit, nfev, stop = ehz._lbfgs(_sign_tagged_quadratics, X0, grad_tol=1e-9,
+                                       max_iter=500)
+    assert (nit[2], nfev[2], stop[2]) == (0, 21, "linesearch")
+    assert np.array_equal(X[2], X0[2])
+    # the other rows backtrack on steps of their own (a failed trial is an
+    # evaluation that is not an accepted step), and each descends as alone
+    failed = nfev - 1 - nit
+    assert len(set(failed[[0, 1, 3, 4]].tolist())) >= 3
+    for k in range(5):
+        alone = ehz._lbfgs(_sign_tagged_quadratics, X0[k:k + 1], grad_tol=1e-9, max_iter=500)
+        assert np.array_equal(alone[0][0], X[k]) and np.array_equal(alone[1][0], G[k])
+        assert (alone[2][0], alone[3][0], alone[4][0]) == (nit[k], nfev[k], stop[k])
+
+
+def _bowl_turning_uphill(X):
+    # 0.5 |x - c|^2 (1 + |x|^2) with c = (1.5, 0.3); past x_1 > 1.4 the
+    # returned gradient has the wrong sign, so every direction there is uphill
+    d, w = X - np.array([1.5, 0.3]), 1.0 + np.sum(X * X, axis=1)
+    g = d * w[:, None] + np.sum(d * d, axis=1)[:, None] * X
+    return 0.5 * np.sum(d * d, axis=1) * w, np.where(X[:, :1] > 1.4, -g, g)
+
+
+def test_each_line_search_counts_its_own_trials():
+    # on its way the row rejects 2 trials and accepts 3 steps; then the
+    # wrong-signed gradient fails 20 trials in a row, counted from the last
+    # accepted step only: nfev = 1 + 3 + 2 + 20
+    X, G, nit, nfev, stop = ehz._lbfgs(_bowl_turning_uphill, np.zeros((1, 2)), grad_tol=1e-9,
+                                       max_iter=100)
+    assert (nit[0], nfev[0], stop[0]) == (3, 26, "linesearch")
+
+
+# Trajectories of the optimizer, pinned: per restart (nit, nfev, stop
+# message, stages), the polish records and the capacity.  The optimizer's
+# bookkeeping may change only in ways that leave its arithmetic, and so
+# these counts, exactly as they are.
+_PINNED_TRAJECTORIES = [
+    (bd.ball_cap_cylinder_intersection(0.5), 0.5001037608926973,
+     [(224, 245, "ftol", 3), (194, 213, "gtol", 3), (196, 217, "ftol", 3),
+      (171, 193, "ftol", 3)],
+     [{"N": 128, "nit": 26, "nfev": 32, "message": "gtol"}]),
+    (bd.EllipsoidBody.from_radii([1.0, 0.4]).linear_image(
+        random_symplectic_matrix(2, np.random.default_rng(3))), 0.4000803384044124,
+     [(23, 24, "gtol", 1), (22, 23, "gtol", 1), (20, 22, "gtol", 1), (23, 24, "gtol", 1)],
+     [{"N": 128, "nit": 8, "nfev": 11, "message": "gtol"}]),
+]
+
+
+@pytest.mark.parametrize("body, capacity, restarts, polish", _PINNED_TRAJECTORIES,
+                         ids=["intersection", "ellipsoid-image"])
+def test_optimizer_trajectory_is_pinned(body, capacity, restarts, polish):
+    res = ehz.ehz_capacity(body, N=128, restarts=4, seed=0)
+    assert [(rec["nit"], rec["nfev"], rec["message"], rec["stages"])
+            for rec in res.restart_log] == restarts
+    assert res.polish == polish
+    assert res.capacity == pytest.approx(capacity, rel=1e-12)
+
+
 @pytest.mark.parametrize("body", [
     bd.ball_cap_cylinder_intersection(0.5),
     bd.EllipsoidBody.from_radii([1.0, 0.4]).linear_image(
@@ -422,8 +492,18 @@ def test_scaled_limit_experiment_single_entry():
 def test_scaled_limit_experiment_validation():
     with pytest.raises(TypeError):
         ehz.scaled_limit_experiment(bd.frame_cylinder(0.5), [1, 2])
-    with pytest.raises(ValueError):
-        ehz.scaled_limit_experiment(bd.CapacityBall(1.0, 2), [2, 1])
+
+
+@pytest.mark.parametrize("L_list", [[], [1, 1, 2], [2, 1], [0, 1], [-1, 2],
+                                    [1, float("nan")], [1, float("inf")],
+                                    [float("nan")]])
+def test_scaled_limit_experiment_rejects_bad_L_list_before_any_solve(L_list, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ehz_capacity ran before L_list was checked")
+
+    monkeypatch.setattr(ehz, "ehz_capacity", no_solve)
+    with pytest.raises(ValueError, match="^L_list must be"):
+        ehz.scaled_limit_experiment(bd.CapacityBall(1.0, 2), L_list)
 
 
 # ----------------------------------------------------------- serialization
