@@ -225,47 +225,35 @@ def projected_slice(t: float, n: int = 2) -> dict:
             "semiaxes": semiaxes, "contains_ball_capacity": t * t}
 
 
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
-
-
 def area_exact_Sh(t: float, h):
-    """Area of S_h = R cap D(1-h) by a fixed-node quadrature.
+    """Area of S_h = R cap D(1-h) in closed form, by sectors.
 
     R is the region of the unit-area disc left of the right half-boundary
-    of the inscribed ellipse with axes t/sqrt(pi) and 1/sqrt(pi).  The
-    left half of D(1-h) contributes (1-h)/2; the right half contributes the
-    integral over y of the width min(ellipse, circle).  With y = rho sin(th),
-    rho = sqrt((1-h)/pi) <= 1/sqrt(pi), the integrand becomes
-    rho cos(th) min(t/sqrt(pi) sqrt(1 - pi rho^2 sin^2 th), rho cos th), free
-    of the square-root endpoint singularities.  It is even in th and each
-    branch of the min is smooth, so [0, pi/2] is split at the
-    ellipse-circle crossing th* and each piece gets 32-node Gauss-Legendre.
-    h may be a scalar (a float is returned) or an array (evaluated in one
-    pass).
+    of the inscribed ellipse with axes p = t/sqrt(pi), q = 1/sqrt(pi).  The
+    circle rho^2 = (1-h)/pi meets it at the ellipse parameter phi,
+    cos^2 phi = clip((q^2 - rho^2)/(q^2 - p^2), 0, 1), and polar angle
+    th* = atan2(q sin phi, p cos phi), so area = (1-h)/2 + p q phi +
+    rho^2 (pi/2 - th*).  The clip gives phi = th* = 0 for a disc inside the
+    ellipse and pi/2 at h = 0.  h (a scalar, giving a float, or an array)
+    may overshoot [0, (1+t)/2] by 1e-12 and is clipped to it.
     """
     require_finite("t", t)
     require_finite("h", h)
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie strictly between 0 and 1")
+    top = (1.0 + t) / 2.0
     h = np.asarray(h, dtype=float)
-    if np.any((h < 0.0) | (h > (1.0 + t) / 2.0 + 1e-12)):
-        raise ValueError("h out of range [0, (1+t)/2]")
+    bad = (h < -1e-12) | (h > top + 1e-12)
+    if np.any(bad):
+        raise ValueError("h=%g outside [0, (1+t)/2]" % h[bad].flat[0])
+    h = np.clip(h, 0.0, top)
     p = t / np.sqrt(np.pi)
     q = 1.0 / np.sqrt(np.pi)
-    a = np.maximum(1.0 - h, 0.0)
-    rho = np.sqrt(a / np.pi)
-    # sin^2 th*, clipped to 0 where the disc lies inside the ellipse (rho <= p)
-    s2 = q * q * (rho * rho - p * p) / (np.maximum(rho, p) ** 2 * (q * q - p * p))
-    th_star = np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
-    # nodes (..., piece, node) on [0, th*] and [th*, pi/2]
-    lo = np.stack([np.zeros_like(th_star), th_star], axis=-1)[..., None]
-    hi = np.stack([th_star, np.full_like(th_star, 0.5 * np.pi)], axis=-1)[..., None]
-    half = 0.5 * (hi - lo)
-    th = lo + half * (1.0 + _GL_X)
-    r = rho[..., None, None]
-    cos = np.cos(th)
-    width = np.minimum(p * np.sqrt(1.0 - (r / q * np.sin(th)) ** 2), r * cos)
-    area = 0.5 * a + 2.0 * np.sum(half * _GL_W * r * cos * width, axis=(-2, -1))
+    rho2 = (1.0 - h) / np.pi
+    cos_phi = np.sqrt(np.clip((q * q - rho2) / (q * q - p * p), 0.0, 1.0))
+    phi = np.arccos(cos_phi)
+    th_star = np.arctan2(q * np.sin(phi), p * cos_phi)
+    area = 0.5 * (1.0 - h) + p * q * phi + rho2 * (0.5 * np.pi - th_star)
     return float(area) if area.ndim == 0 else area
 
 
@@ -301,15 +289,11 @@ def area_feasibility(t: float, h_grid, tol: float = 1e-8, strict: bool = False) 
     strict=True an AssertionError is raised at the first row where the
     printed chain fails.
     """
-    h_grid = list(h_grid)
-    require_finite("t", t)
-    require_finite("h_grid", h_grid)
-    for h in h_grid:
-        if h < -1e-12 or h > (1.0 + t) / 2.0 + 1e-12:
-            raise ValueError("h=%g outside [0, (1+t)/2]" % h)
-    hs = np.clip(np.array(h_grid, dtype=float), 0.0, (1.0 + t) / 2.0)
+    h_grid = np.array(list(h_grid), dtype=float)
+    areas = area_exact_Sh(t, h_grid).tolist()
+    hs = np.clip(h_grid, 0.0, (1.0 + t) / 2.0)
     rows = []
-    for h, exact in zip(hs.tolist(), area_exact_Sh(t, hs).tolist()):
+    for h, exact in zip(hs.tolist(), areas):
         disc = (1.0 + t) / 2.0 - h
         s = np.sqrt(1.0 - h)
         lower = 0.5 * (1.0 - h) + 0.5 * t * s

@@ -52,32 +52,34 @@ def _parse_grid(spec: str) -> list:
     return [v for v in vals if a - 1e-12 <= v <= b + 1e-12]
 
 
-def _body_from_spec(spec: dict):
-    kind = spec.get("kind")
+def _body_from_args(args):
+    """(body, spec): the body --body names, and its kind with the flags that
+    kind reads, at their effective values.  al-scaled reads --L and either
+    --t or --r; any other body flag given is a usage error."""
+    kind = args.body
+    reads = {"ball4": ("r",), "ellipsoid": ("radii",), "intersection": ("t",),
+             "mt-image": ("t",), "al-scaled": ("r" if args.t is None else "t", "L")}[kind]
+    for flag in ("t", "r", "L", "radii"):
+        if flag not in reads and getattr(args, flag) is not None:
+            raise UsageError("--body %s does not read --%s" % (kind, flag))
+    spec = {"kind": kind}
+    for flag in reads:
+        value = getattr(args, flag)
+        if value is None and flag not in ("r", "L"):
+            raise UsageError("--body %s needs --%s" % (kind, flag))
+        spec[flag] = 1.0 if value is None else value
     if kind == "ball4":
-        return bd.CapacityBall(float(spec.get("r", 1.0)), 2)
+        return bd.CapacityBall(spec["r"], 2), spec
     if kind == "ellipsoid":
-        radii = spec.get("radii")
-        if not radii:
-            raise UsageError("ellipsoid body needs a radii list")
-        return bd.EllipsoidBody.from_radii([float(r) for r in radii])
+        return bd.EllipsoidBody.from_radii(spec["radii"]), spec
     if kind == "intersection":
-        t = spec.get("t")
-        if t is None:
-            raise UsageError("intersection body needs t")
-        return bd.ball_cap_cylinder_intersection(float(t))
+        return bd.ball_cap_cylinder_intersection(spec["t"]), spec
     if kind == "mt-image":
-        t = spec.get("t")
-        if t is None:
-            raise UsageError("mt-image body needs t")
-        return bd.EllipsoidBody.from_linear_image(matrix_Mt(float(t)))
-    if kind == "al-scaled":
-        L = float(spec.get("L", 1.0))
-        if "t" in spec and spec["t"] is not None:
-            M = matrix_AL(L) @ matrix_Mt(float(spec["t"]))
-            return bd.EllipsoidBody.from_linear_image(M)
-        return bd.EllipsoidBody.from_linear_image(matrix_AL(L), float(spec.get("r", 1.0)))
-    raise UsageError("unknown body kind %r" % kind)
+        return bd.EllipsoidBody.from_linear_image(matrix_Mt(spec["t"])), spec
+    if "t" in spec:
+        M = matrix_AL(spec["L"]) @ matrix_Mt(spec["t"])
+        return bd.EllipsoidBody.from_linear_image(M), spec
+    return bd.EllipsoidBody.from_linear_image(matrix_AL(spec["L"]), spec["r"]), spec
 
 
 def _write(out_dir: Path | None, name: str, text: str) -> None:
@@ -92,14 +94,11 @@ def cmd_ehz(args) -> int:
     if args.format is not None and args.out:
         raise UsageError("--format picks the document printed on stdout; "
                          "--out writes both ehz.json and loop.csv, so drop one")
-    spec = {"kind": args.body, "t": args.t, "r": args.r, "L": args.L,
-            "radii": args.radii}
-    body = _body_from_spec(spec)
+    body, spec = _body_from_args(args)
     res = ehz.ehz_capacity(body, N=args.n_samples, restarts=args.restarts, seed=args.seed)
     config = {"command": "ehz", "ts": [args.t] if args.t is not None else [],
               "N": args.n_samples, "restarts": args.restarts, "seed": args.seed}
-    report = {"config": config,
-              "body": {k: v for k, v in spec.items() if v is not None}}
+    report = {"config": config, "body": spec}
     report.update(res.to_json())
     docs = {"json": ("ehz.json", json.dumps(report, indent=2) + "\n"),
             "csv": ("loop.csv", res.loop.to_csv())}
@@ -184,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True,
                    choices=["ball4", "ellipsoid", "intersection", "mt-image", "al-scaled"])
     p.add_argument("--t", type=_finite_float)
-    p.add_argument("--r", type=_finite_float, default=1.0)
-    p.add_argument("--L", type=_finite_float, default=1.0)
+    p.add_argument("--r", type=_finite_float, help="default 1")
+    p.add_argument("--L", type=_finite_float, help="default 1")
     p.add_argument("--radii", type=_finite_list, help="comma-separated capacities")
     p.add_argument("--n-samples", type=int, default=256)
     p.add_argument("--restarts", type=int, default=8)

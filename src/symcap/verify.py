@@ -212,7 +212,7 @@ def criterion_10_area_feasibility(seed=0, grid_size=50):
                   "printed_failures_in_corner": printed_in_corner,
                   "printed_failures_outside_corner": len(printed_outside),
                   "disc_le_exact_failures": len(disc_le_exact_failures)},
-                 "1e-8 quadrature", detail, time.time() - t0)
+                 "1e-8", detail, time.time() - t0)
 
 
 def criterion_11_property_suites(seed=0, samples=1000):

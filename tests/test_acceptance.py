@@ -79,7 +79,7 @@ def test_criterion_09_linear_search_remark():
 
 @pytest.fixture(scope="module")
 def criterion_10():
-    # one 2,500-point quadrature serves the chain test and its companion
+    # one run over the 50x50 (t, h) grid serves the chain test and its companion
     return verify.criterion_10_area_feasibility(seed=0)
 
 

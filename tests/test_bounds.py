@@ -210,21 +210,85 @@ def test_projected_slice_parametrization_and_ball():
 # ------------------------------------------------------------- areas
 
 
-def test_area_exact_matches_sector_oracle():
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(32)
+
+
+def area_quadrature(t, h):
+    """Independent oracle for area_exact_Sh: the right half of S_h as an
+    integral over y = rho sin(th), rho = sqrt((1-h)/pi), of the width
+    min(ellipse, circle), split at the ellipse-circle crossing th* and
+    summed by 32-node Gauss-Legendre on each piece; h a scalar or an array."""
+    p = t / np.sqrt(np.pi)
+    q = 1.0 / np.sqrt(np.pi)
+    h = np.asarray(h, dtype=float)
+    a = np.maximum(1.0 - h, 0.0)
+    rho = np.sqrt(a / np.pi)
+    # sin^2 th*, clipped to 0 where the disc lies inside the ellipse (rho <= p)
+    s2 = q * q * (rho * rho - p * p) / (np.maximum(rho, p) ** 2 * (q * q - p * p))
+    th_star = np.arcsin(np.sqrt(np.clip(s2, 0.0, 1.0)))
+    # nodes (..., piece, node) on [0, th*] and [th*, pi/2]
+    lo = np.stack([np.zeros_like(th_star), th_star], axis=-1)[..., None]
+    hi = np.stack([th_star, np.full_like(th_star, 0.5 * np.pi)], axis=-1)[..., None]
+    half = 0.5 * (hi - lo)
+    th = lo + half * (1.0 + _GL_X)
+    r = rho[..., None, None]
+    cos = np.cos(th)
+    width = np.minimum(p * np.sqrt(1.0 - (r / q * np.sin(th)) ** 2), r * cos)
+    return 0.5 * a + 2.0 * np.sum(half * _GL_W * r * cos * width, axis=(-2, -1))
+
+
+def test_area_exact_matches_quadrature_and_sector_oracles():
     rng = np.random.default_rng(8)
     for _ in range(40):
         t = rng.uniform(0.05, 0.95)
         h = rng.uniform(0.0, (1.0 + t) / 2.0)
-        quad_val = bn.area_exact_Sh(t, h)
-        sect_val = bn.area_exact_Sh_sectors(t, h)
-        assert quad_val == pytest.approx(sect_val, abs=1e-8)
+        val = bn.area_exact_Sh(t, h)
+        assert isinstance(val, float)
+        assert val == pytest.approx(bn.area_exact_Sh_sectors(t, h), abs=1e-14)
     # criterion 10's 50x50 grid, one array call per t
     for t in np.linspace(0.02, 0.98, 50):
         hs = np.linspace(0.0, (1.0 + t) / 2.0, 50)
-        quad_vals = bn.area_exact_Sh(float(t), hs)
-        assert quad_vals.shape == hs.shape
+        vals = bn.area_exact_Sh(float(t), hs)
+        assert vals.shape == hs.shape
         sect_vals = [bn.area_exact_Sh_sectors(float(t), float(h)) for h in hs]
-        assert np.max(np.abs(quad_vals - sect_vals)) <= 1e-12
+        assert np.max(np.abs(vals - sect_vals)) <= 1e-14
+        assert np.max(np.abs(vals - area_quadrature(float(t), hs))) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3, 0.5, 0.6, 0.75, 0.9, 0.98])
+def test_area_exact_at_its_case_boundaries(t):
+    top = (1.0 + t) / 2.0
+    # h = 0: all of R, the left half-disc and the right half-ellipse
+    assert bn.area_exact_Sh(t, 0.0) == pytest.approx(top, abs=1e-15)
+    # h = (1+t)/2, the top of the range
+    assert bn.area_exact_Sh(t, top) == pytest.approx(bn.area_exact_Sh_sectors(t, top), abs=1e-14)
+    assert bn.area_exact_Sh(t, top) == pytest.approx(area_quadrature(t, top), abs=1e-14)
+    if t >= 0.5:
+        # 1-h = t^2 lies in the range: the disc passes through the
+        # ellipse's vertex, and above it the disc lies inside the ellipse
+        assert bn.area_exact_Sh(t, 1.0 - t * t) == pytest.approx(t * t, abs=1e-15)
+        assert bn.area_exact_Sh(t, top) == pytest.approx(1.0 - top, abs=1e-15)
+
+
+@pytest.mark.parametrize("t", [0.02, 0.3, 0.5, 0.8, 0.98])
+def test_area_exact_non_increasing_in_h(t):
+    vals = bn.area_exact_Sh(t, np.linspace(0.0, (1.0 + t) / 2.0, 20_001))
+    assert np.all(np.diff(vals) <= 0.0)
+
+
+def test_area_functions_share_one_h_range():
+    t = 0.5
+    top = (1.0 + t) / 2.0
+    for h in (-1e-12, top + 1e-12):
+        bn.area_exact_Sh(t, h)
+        bn.area_exact_Sh(t, np.array([0.1, h]))
+        bn.area_feasibility(t, [0.1, h])
+    assert bn.area_exact_Sh(t, -1e-13) == bn.area_feasibility(t, [-1e-13])[0]["exact_area"] == top
+    for h in (-1e-11, top + 1e-11):
+        with pytest.raises(ValueError, match="outside"):
+            bn.area_exact_Sh(t, h)
+        with pytest.raises(ValueError, match="outside"):
+            bn.area_feasibility(t, [0.1, h])
 
 
 def test_area_exact_monte_carlo_spot_check():

@@ -44,7 +44,21 @@ def test_ehz_writes_json_and_loop(tmp_path, capsys):
     doc = json.loads((tmp_path / "ehz.json").read_text())
     assert doc["N"] == 64 and doc["converged"]
     assert doc["config"] == {"command": "ehz", "ts": [], "N": 64, "restarts": 2, "seed": 0}
+    # the body records only the flags ball4 reads, at their effective values
+    assert doc["body"] == {"kind": "ball4", "r": 1.0}
     assert (tmp_path / "loop.csv").read_text().startswith("t,x1,y1,x2,y2")
+
+
+@pytest.mark.parametrize("flags, body", [
+    ([], {"kind": "al-scaled", "r": 1.0, "L": 1.0}),
+    (["--L", "2", "--r", "0.5"], {"kind": "al-scaled", "r": 0.5, "L": 2.0}),
+    (["--t", "0.5"], {"kind": "al-scaled", "t": 0.5, "L": 1.0}),
+])
+def test_ehz_al_scaled_body_records_the_flags_it_reads(flags, body, capsys):
+    argv = ["ehz", "--body", "al-scaled", "--n-samples", "64", "--restarts", "2",
+            "--format", "json"] + flags
+    assert run(argv) == 0
+    assert json.loads(capsys.readouterr().out)["body"] == body
 
 
 def test_ehz_json_to_stdout_parses(capsys):
@@ -202,10 +216,21 @@ def test_verify_wiring_and_exit_codes(tmp_path, monkeypatch, capsys):
     ["ehz", "--body", "ball4", "--format", "csv", "--out", "unused"],
     ["orbits", "--t", "0.3", "--samples", "4"],
     ["orbits", "--t", "0.3", "--seed", "1"],
+    # a body flag that the --body kind never reads
+    ["ehz", "--body", "ball4", "--t", "0.5"],
+    ["ehz", "--body", "ball4", "--radii", "1,2"],
+    ["ehz", "--body", "intersection", "--t", "0.5", "--radii", "1,2"],
+    ["ehz", "--body", "intersection", "--t", "0.5", "--L", "2"],
+    ["ehz", "--body", "mt-image", "--t", "0.5", "--r", "2"],
+    ["ehz", "--body", "ellipsoid", "--radii", "1,2", "--L", "2"],
+    ["ehz", "--body", "ellipsoid", "--radii", "1,2", "--r", "3"],
+    ["ehz", "--body", "al-scaled", "--L", "2", "--radii", "1,2"],
+    ["ehz", "--body", "al-scaled", "--t", "0.5", "--r", "2"],
 ])
 def test_flags_a_subcommand_ignores_are_rejected(argv, capsys):
     assert run(argv) == 1
-    capsys.readouterr()
+    # the message names the last flag given, the one that is not used
+    assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -223,11 +248,13 @@ def test_non_finite_numbers_rejected_naming_the_flag(argv, flag, capsys):
     assert "argument %s: expected a finite number" % flag in err
 
 
-def test_package_import_leaves_scipy_out():
-    # scipy is a test dependency only: the oracles in the tests use it
+@pytest.mark.parametrize("prefix", ["scipy", "numpy.polynomial"])
+def test_package_import_leaves_module_out(prefix):
+    # scipy is a test dependency only, and numpy.polynomial serves only the
+    # quadrature oracle of the tests: importing the package loads neither
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     code = ("import symcap.cli, symcap.verify, sys; "
-            "sys.exit(int(any(m.split('.')[0] == 'scipy' for m in sys.modules)))")
+            "sys.exit(int(any((m + '.').startswith(%r + '.') for m in sys.modules)))" % prefix)
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
