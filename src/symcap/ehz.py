@@ -10,6 +10,7 @@ that runs all restarts in lockstep: each step evaluates every live restart
 in one stacked objective call, and so one support_batch call.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,14 @@ from .symcore import apply_J, matrix_AL
 # level warm-starts the next (smoothing continuation, Nesterov 2005).  The
 # last level is the one every body descends at.
 _SMOOTHING = (1e-2, 1e-3, 1e-4)
+
+# Restarts whose exact ratios after the first level lie within this
+# relative distance of the lowest of them, the leader, form one basin, and
+# only the leader descends the later levels.  Distinct loops lie 1e-2 or
+# more apart there; members of one basin, continued, end within about
+# 3e-7 relative of each other, and the first level does not tell which
+# of them ends lowest.
+_BASIN_TOL = 1e-4
 
 # Coarse level of the N ladder: the restarts run at N halved while it is
 # even and at least twice this, and the best loop is refined from there.
@@ -136,13 +145,19 @@ class EhzResult:
     """Best minimizer over restarts with convergence diagnostics.
 
     The restarts run at the coarse level N0 of the ladder (N0 = N when
-    there is no ladder).  history holds each restart's exact ratio at N0;
-    restart_log holds one record per restart: value (that ratio), nit and
-    nfev (this restart's accepted steps and objective evaluations) summed
-    over the smoothing stages, the number of stages, the last stage's stop
-    message and grad_norm, the gradient norm of the rounded objective that
-    stage minimized.  restart_agreement counts the restarts whose ratio
-    lies within 1e-6 relative of min(history); a low count means restarts
+    there is no ladder).  After the first smoothing stage they fall into
+    basins: taken by ascending exact ratio at N0, a restart opens a new
+    basin when its ratio lies more than _BASIN_TOL = 1e-4 relative above
+    the lowest ratio of the current basin, its leader; basin 0 holds the
+    lowest ratio.  On a kinked body only the leaders descend the later
+    stages; every other restart keeps its first-stage result.  history
+    holds each restart's exact ratio at N0 where it stopped; restart_log
+    holds one record per restart: value (that ratio), nit and nfev (this
+    restart's accepted steps and objective evaluations) summed over the
+    stages it ran, stages (1 for a restart that was not continued), the
+    last stage's stop message and grad_norm, the gradient norm of the
+    rounded objective that stage minimized, and basin.
+    restart_agreement is the size of basin 0; a low count means restarts
     stalled elsewhere.  polish holds one record per doubling of N: N, nit,
     nfev and the stop message.
 
@@ -167,8 +182,7 @@ class EhzResult:
 
     @property
     def restart_agreement(self) -> int:
-        best = min(self.history)
-        return sum(abs(h - best) <= 1e-6 * abs(best) for h in self.history)
+        return sum(rec["basin"] == 0 for rec in self.restart_log)
 
     def to_json(self) -> dict:
         return {
@@ -368,6 +382,24 @@ def _fourier_start(rng: np.random.Generator, N: int, dim: int, modes: int = 3) -
     return v / np.sqrt(act)
 
 
+def _basins(values: np.ndarray):
+    """Basin index of each row, and the basin leaders in basin order.
+
+    The rows are taken by ascending value (ties by index); a row opens a
+    new basin when it lies more than _BASIN_TOL relative above the
+    current basin's leader, its lowest row.  Measuring from the leader,
+    not from the row before, keeps a slow drift from chaining basins.
+    """
+    basin = np.empty(values.size, dtype=int)
+    leaders = []
+    for k in np.argsort(values, kind="stable"):
+        if not leaders or (values[k] - values[leaders[-1]]
+                           > _BASIN_TOL * abs(values[leaders[-1]])):
+            leaders.append(k)
+        basin[k] = len(leaders) - 1
+    return basin, np.array(leaders)
+
+
 def _count(name: str, value, least: int) -> int:
     """value as an int of at least `least`, or a ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -394,21 +426,33 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
     All restarts descend together, one row each of a stack, through the
     lockstep L-BFGS of _lbfgs (memory 20, stop on max |grad| <= grad_tol,
     a relative reduction of at most 1e-14, max_iter steps or a failed line
-    search); a restart's result does not depend on the other rows.
-    Restart k draws its Fourier-mode initialization from a generator
-    seeded with (seed, k), so the result is reproducible regardless of
-    the number of restarts.  Descent runs on the kink-rounded support.  On
-    a body whose support is kinked (`body.kinked`), the restarts descend
-    at the rounding levels of _SMOOTHING in turn, each level started from
-    the previous minimizers; L-BFGS crawls at the fine level from a cold
-    start but converges quickly from the coarse minimizer.  Every other
-    body descends once at the finest level, where rounding changes
-    nothing.  The reported capacity is the exact (unrounded) ratio at the
-    final minimizer, so the rounding never leaks into the estimate.
+    search); within one stage a row's result does not depend on the other
+    rows.  Restart k draws its Fourier-mode initialization from a
+    generator seeded with (seed, k).  Descent runs on the kink-rounded
+    support.  On a body whose support is kinked (`body.kinked`), the
+    restarts descend at the rounding levels of _SMOOTHING in turn, each
+    level started from the previous minimizers; L-BFGS crawls at the fine
+    level from a cold start but converges quickly from the coarse
+    minimizer.  After the first level the restarts are grouped into basins
+    by their exact ratio at N0 (see EhzResult), and only each basin's
+    leader, its lowest row, descends the later levels: the other members
+    have found the same loop, up to a few 1e-7 relative.  Which rows lead depends on the other rows,
+    so a restart's first-stage record, and a leader's full record, are
+    reproducible regardless of the number of restarts, but whether a
+    restart leads is not.  Every other body descends once at the finest
+    level, where rounding changes nothing.  The reported capacity is the
+    exact (unrounded) ratio at the final minimizer, so the rounding never
+    leaks into the estimate.  N, restarts, max_iter and seed must be
+    integers (seed at least 0) and grad_tol a finite number at least 0.
     """
     N = _count("N", N, 16)
     restarts = _count("restarts", restarts, 1)
     max_iter = _count("max_iter", max_iter, 1)
+    seed = _count("seed", seed, 0)
+    # nan or a negative grad_tol would leave the gtol stop unreachable
+    if (isinstance(grad_tol, bool) or not isinstance(grad_tol, numbers.Real)
+            or not np.isfinite(grad_tol) or grad_tol < 0):
+        raise ValueError("grad_tol must be a finite number at least 0, got %r" % (grad_tol,))
     dim = body.dim
     # reject unbounded bodies up front by probing the coordinate directions
     probe = np.vstack([np.eye(dim), -np.eye(dim)])
@@ -425,15 +469,28 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
 
     X = np.stack([_fourier_start(np.random.default_rng([seed, k]), N0, dim).ravel()
                   for k in range(restarts)])
-    nit = nfev = 0
-    for smooth in schedule:
-        X, G, steps, evals, stop = descend(X, N0, smooth)
-        nit, nfev = nit + steps, nfev + evals
-    history = _ratio_and_grad(X, body, N0, dim)[0].tolist()
+    X, G, nit, nfev, stop = descend(X, N0, schedule[0])
+    history = _ratio_and_grad(X, body, N0, dim)[0]
+    basin, leaders = _basins(history)
+    stages = np.ones(restarts, dtype=int)
+    if len(schedule) > 1:
+        # the later stages refine one loop per basin: its lowest row
+        lead = np.sort(leaders)
+        x = X[lead]
+        for smooth in schedule[1:]:
+            x, g, steps, evals, last = descend(x, N0, smooth)
+            nit[lead] += steps
+            nfev[lead] += evals
+        X[lead], G[lead], stages[lead] = x, g, len(schedule)
+        history[lead] = _ratio_and_grad(x, body, N0, dim)[0]
+        for k, message in zip(lead, last):
+            stop[k] = message
+    history = history.tolist()
     grad_norms = np.linalg.norm(G, axis=1)
     restart_log = [{"value": history[k], "nit": int(nit[k]), "nfev": int(nfev[k]),
-                    "stages": len(schedule), "message": stop[k],
-                    "grad_norm": float(grad_norms[k])} for k in range(restarts)]
+                    "stages": int(stages[k]), "message": stop[k],
+                    "grad_norm": float(grad_norms[k]), "basin": int(basin[k])}
+                   for k in range(restarts)]
     best = int(np.argmin(history))
     x, last = X[best:best + 1], stop[best]
     polish = []

@@ -191,6 +191,7 @@ def matrix_AL(L: float, n: int = 2) -> np.ndarray:
     Not symplectic for L != 1 (it scales the symplectic area of the z_n
     block by L^2); returned as a plain matrix with no symplecticity check.
     """
+    require_finite("L", L)
     if L <= 0:
         raise ValueError("L must be positive")
     if n < 1:

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from symcap import cli
+from symcap import bodies as bd
+from symcap import cli, ehz
 
 
 def run(argv):
@@ -34,6 +35,20 @@ def test_ehz_missing_t_is_usage_error(capsys):
     code = run(["ehz", "--body", "intersection"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_ehz_negative_seed_is_rejected_naming_it(capsys):
+    assert run(["ehz", "--body", "ball4", "--seed", "-1"]) == 1
+    assert "error: seed must be at least 0" in capsys.readouterr().err
+
+
+def test_readme_ehz_row_names_every_json_key():
+    # a key added to the ehz JSON report must be documented with it
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    row = next(line for line in readme.splitlines() if line.startswith("| `ehz`"))
+    doc = ehz.ehz_capacity(bd.CapacityBall(1.0, 2), N=128, restarts=2).to_json()
+    keys = set(doc) | set(doc["restart_log"][0]) | set(doc["polish"][0])
+    assert {key for key in keys if "`%s`" % key not in row} == set()
 
 
 def test_ehz_writes_json_and_loop(tmp_path, capsys):

@@ -105,23 +105,28 @@ def test_intersection_capacity_small_run():
 
 def test_restart_agreement_counts_restarts_at_the_best_value():
     # the restarts run at N0 = 64, where three of eight at t = 0.75 stall
-    # at the Hopf circle's polygon value ((pi/64) / sin(pi/64))^2
+    # at the Hopf circle's polygon value ((pi/64) / sin(pi/64))^2: they form
+    # basin 1, whose leader alone runs the later stages
     res = ehz.ehz_capacity(bd.ball_cap_cylinder_intersection(0.75), N=256,
                            restarts=8, seed=0)
     hopf = ((np.pi / 64) / np.sin(np.pi / 64)) ** 2
     assert res.restart_agreement == 5
-    assert sum(abs(h - hopf) < 1e-4 for h in res.history) == 3
+    assert [k for k, h in enumerate(res.history) if abs(h - hopf) < 1e-4] == [1, 5, 6]
+    assert [rec["basin"] for rec in res.restart_log] == [0, 1, 0, 0, 0, 1, 1, 0]
+    assert [rec["stages"] for rec in res.restart_log] == [3, 1, 1, 1, 1, 3, 1, 1]
     assert res.to_json()["restart_agreement"] == 5
 
 
 def test_smoothing_schedule_only_on_kinked_bodies():
+    # on the kinked body the two restarts form one basin, and only its
+    # leader, restart 0, runs the three stages
     assert not bd.frame_cylinder(0.5).kinked
-    for body, kinked, stages in [(bd.EllipsoidBody.from_radii([1.0, 0.5]), False, 1),
-                                 (bd.CapacityBall(1.0, 2), False, 1),
-                                 (bd.ball_cap_cylinder_intersection(0.5), True, 3)]:
+    for body, kinked, stages in [(bd.EllipsoidBody.from_radii([1.0, 0.5]), False, [1, 1]),
+                                 (bd.CapacityBall(1.0, 2), False, [1, 1]),
+                                 (bd.ball_cap_cylinder_intersection(0.5), True, [3, 1])]:
         assert body.kinked is kinked
         res = ehz.ehz_capacity(body, N=32, restarts=2, seed=0)
-        assert [rec["stages"] for rec in res.restart_log] == [stages, stages]
+        assert [rec["stages"] for rec in res.restart_log] == stages
 
 
 def test_capacity_unbounded_body_rejected():
@@ -139,10 +144,33 @@ def test_capacity_invalid_parameters():
 
 @pytest.mark.parametrize("kwargs, name", [({"N": 64.0}, "N"), ({"N": 64.5}, "N"),
                                           ({"N": float("nan")}, "N"), ({"N": "64"}, "N"),
-                                          ({"N": True}, "N"), ({"restarts": 2.5}, "restarts")])
+                                          ({"N": True}, "N"), ({"restarts": 2.5}, "restarts"),
+                                          ({"seed": 1.5}, "seed"), ({"seed": "0"}, "seed")])
 def test_capacity_rejects_non_integer_counts(kwargs, name):
     with pytest.raises(ValueError, match="^%s must be an integer" % name):
         ehz.ehz_capacity(bd.CapacityBall(1.0, 2), **kwargs)
+
+
+class _NoSupport(bd.CapacityBall):
+    def support_batch(self, U, smooth=0.0):
+        raise AssertionError("support_batch ran before the parameters were checked")
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": -1}, "^seed must be at least 0, got -1"),
+    ({"grad_tol": float("nan")}, "^grad_tol must be a finite number at least 0"),
+    ({"grad_tol": float("inf")}, "^grad_tol must be a finite number at least 0"),
+    ({"grad_tol": -1.0}, "^grad_tol must be a finite number at least 0"),
+    ({"grad_tol": "1e-8"}, "^grad_tol must be a finite number at least 0"),
+    ({"grad_tol": None}, "^grad_tol must be a finite number at least 0")])
+def test_capacity_rejects_bad_seed_and_grad_tol_before_any_support_call(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        ehz.ehz_capacity(_NoSupport(1.0, 2), **kwargs)
+
+
+def test_capacity_accepts_a_zero_grad_tol():
+    res = ehz.ehz_capacity(bd.CapacityBall(1.0, 2), N=32, restarts=1, grad_tol=0)
+    assert res.capacity == pytest.approx(1.0, rel=0.01)
 
 
 def test_capacity_accepts_numpy_integer_counts():
@@ -394,10 +422,12 @@ def test_each_line_search_counts_its_own_trials():
 # Trajectories of the optimizer, pinned: per restart (nit, nfev, stop
 # message, stages), the polish records and the capacity.  The optimizer's
 # bookkeeping may change only in ways that leave its arithmetic, and so
-# these counts, exactly as they are.
+# these counts, exactly as they are.  On the intersection body the four
+# restarts form one basin after the first stage, and its leader, restart
+# 3, alone runs the later two.
 _PINNED_TRAJECTORIES = [
     (bd.ball_cap_cylinder_intersection(0.5), 0.5001037608926973,
-     [(224, 245, "ftol", 3), (194, 213, "gtol", 3), (196, 217, "ftol", 3),
+     [(148, 153, "gtol", 1), (140, 143, "gtol", 1), (147, 150, "gtol", 1),
       (171, 193, "ftol", 3)],
      [{"N": 128, "nit": 26, "nfev": 32, "message": "gtol"}]),
     (bd.EllipsoidBody.from_radii([1.0, 0.4]).linear_image(
@@ -417,15 +447,69 @@ def test_optimizer_trajectory_is_pinned(body, capacity, restarts, polish):
     assert res.capacity == pytest.approx(capacity, rel=1e-12)
 
 
+def _without_basin(rec):
+    return {key: value for key, value in rec.items() if key != "basin"}
+
+
 @pytest.mark.parametrize("body", [
     bd.ball_cap_cylinder_intersection(0.5),
     bd.EllipsoidBody.from_radii([1.0, 0.4]).linear_image(
         random_symplectic_matrix(2, np.random.default_rng(3)))])
-def test_restart_results_do_not_depend_on_the_other_restarts(body):
+def test_restart_results_do_not_depend_on_the_other_restarts(body, monkeypatch):
+    few = ehz.ehz_capacity(body, N=256, restarts=3, seed=0)
+    many = ehz.ehz_capacity(body, N=256, restarts=8, seed=0)
+    if not body.kinked:
+        assert few.history == many.history[:3]
+        assert few.restart_log == many.restart_log[:3]
+        return
+    # which rows lead their basins depends on the other rows; a restart
+    # that ran the same stages in both runs has the same record
+    same = [k for k in range(3)
+            if few.restart_log[k]["stages"] == many.restart_log[k]["stages"]]
+    assert same == [0, 2]
+    for k in same:
+        assert _without_basin(few.restart_log[k]) == _without_basin(many.restart_log[k])
+        assert few.history[k] == many.history[k]
+    # and every row's first-stage result does not depend on the other rows
+    monkeypatch.setattr(ehz, "_SMOOTHING", ehz._SMOOTHING[:1])
     few = ehz.ehz_capacity(body, N=256, restarts=3, seed=0)
     many = ehz.ehz_capacity(body, N=256, restarts=8, seed=0)
     assert few.history == many.history[:3]
-    assert few.restart_log == many.restart_log[:3]
+    assert ([_without_basin(rec) for rec in few.restart_log]
+            == [_without_basin(rec) for rec in many.restart_log[:3]])
+
+
+def test_basins_measure_from_their_leader():
+    # 1.00006 joins 1.0's basin and 1.00012 lies 6e-5 above it, but 1.2e-4
+    # above the leader 1.0, so it opens a basin of its own
+    values = np.array([1.00012, 0.5, 1.0, 2.0, 1.00006, 0.50004, 1.00016])
+    basin, leaders = ehz._basins(values)
+    assert basin.tolist() == [2, 0, 1, 3, 1, 0, 2]
+    assert leaders.tolist() == [1, 2, 0, 3]
+
+
+def test_basin_leaders_are_the_lowest_first_stage_rows(monkeypatch):
+    body = bd.ball_cap_cylinder_intersection(0.75)
+    res = ehz.ehz_capacity(body, N=256, restarts=8, seed=0)
+    monkeypatch.setattr(ehz, "_SMOOTHING", ehz._SMOOTHING[:1])
+    first = ehz.ehz_capacity(body, N=256, restarts=8, seed=0)
+    basins = [rec["basin"] for rec in res.restart_log]
+    assert basins == [rec["basin"] for rec in first.restart_log]
+    leaders = []
+    for b in range(max(basins) + 1):
+        rows = [k for k in range(8) if basins[k] == b]
+        lead = min(rows, key=lambda k: first.history[k])
+        leaders.append(first.history[lead])
+        # the leader alone runs the later stages; the other rows keep
+        # their first-stage records
+        assert [k for k in rows if res.restart_log[k]["stages"] == 3] == [lead]
+        for k in rows:
+            assert first.history[k] - first.history[lead] <= ehz._BASIN_TOL * first.history[lead]
+            if k != lead:
+                assert res.restart_log[k] == first.restart_log[k]
+    assert len(leaders) == 2
+    for low, high in zip(leaders, leaders[1:]):
+        assert high - low > ehz._BASIN_TOL * low
 
 
 def test_converged_means_the_last_stage_stopped_on_a_tolerance():
@@ -516,7 +600,7 @@ def test_result_json_and_loop_csv():
                         "grad_norm", "history", "restart_agreement", "restart_log",
                         "polish"}
     assert set(doc["restart_log"][0]) == {"value", "nit", "nfev", "stages", "message",
-                                          "grad_norm"}
+                                          "grad_norm", "basin"}
     assert doc["polish"] == []
     csv = res.loop.to_csv()
     header = csv.splitlines()[0]

@@ -157,6 +157,12 @@ def test_matrix_AL_diagonal_and_not_symplectic():
         sc.matrix_AL(0.0, 2)
 
 
+@pytest.mark.parametrize("L", [float("nan"), float("inf"), -float("inf")])
+def test_matrix_AL_rejects_non_finite_L(L):
+    with pytest.raises(ValueError, match="^L must be finite"):
+        sc.matrix_AL(L, 2)
+
+
 def test_printed_matrices_symplectic_random_parameters():
     rng = np.random.default_rng(11)
     for _ in range(20):
