@@ -436,14 +436,15 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
     minimizer.  After the first level the restarts are grouped into basins
     by their exact ratio at N0 (see EhzResult), and only each basin's
     leader, its lowest row, descends the later levels: the other members
-    have found the same loop, up to a few 1e-7 relative.  Which rows lead depends on the other rows,
-    so a restart's first-stage record, and a leader's full record, are
-    reproducible regardless of the number of restarts, but whether a
-    restart leads is not.  Every other body descends once at the finest
-    level, where rounding changes nothing.  The reported capacity is the
-    exact (unrounded) ratio at the final minimizer, so the rounding never
-    leaks into the estimate.  N, restarts, max_iter and seed must be
-    integers (seed at least 0) and grad_tol a finite number at least 0.
+    have found the same loop, up to a few 1e-7 relative.  Which rows lead
+    depends on the other rows, so a restart's first-stage record, and a
+    leader's full record, are reproducible regardless of the number of
+    restarts, but whether a restart leads is not.  Every other body
+    descends once at the finest level, where rounding changes nothing.
+    The reported capacity is the exact (unrounded) ratio at the final
+    minimizer, so the rounding never leaks into the estimate.  N,
+    restarts, max_iter and seed must be integers (seed at least 0) and
+    grad_tol a finite number at least 0.
     """
     N = _count("N", N, 16)
     restarts = _count("restarts", restarts, 1)
