@@ -17,7 +17,7 @@ import numpy as np
 
 from .bodies import (ConvexBody, EllipsoidBody, UnboundedDirectionError,
                      ellipsoid_ehz_oracle, slice_ellipsoid)
-from .symcore import apply_J, matrix_AL
+from .symcore import apply_J, matrix_AL, symplectic_normalizer
 
 # Kink-rounding levels of the descent on bodies with kinked support: each
 # level warm-starts the next (smoothing continuation, Nesterov 2005).  The
@@ -167,6 +167,12 @@ class EhzResult:
     converged is True when the last stage run, the last polish or else the
     best restart's last smoothing stage, stopped on "gtol" or "ftol".
     grad_norm is the exact objective's gradient norm at N.
+
+    The descent runs in normal position (see ehz_capacity), but every value
+    here belongs to the original body: history, each record's value and
+    capacity are exact ratios of the body itself, both grad_norm kinds are
+    gradient norms with respect to its velocities, and loop lies in its
+    coordinates, an admissible loop whose exact ratio is capacity.
     """
 
     capacity: float
@@ -356,7 +362,11 @@ def _lbfgs(fun, X, grad_tol: float, max_iter: int):
         ring[add] += 1
         gamma[add] = sy / c[pick, m + j]
         H = -_inverse_hessian_times(G, mem, sty, yty, Rinv, gamma)
-        first = np.where(ring > 0, 1.0, 1.0 / np.maximum(np.linalg.norm(H, axis=1), 1e-300))
+        # the first trial step: 1, or 1 / |d| on rows whose memory is empty
+        first = np.ones(len(H))
+        cold = np.flatnonzero(ring == 0)
+        if cold.size:
+            first[cold] = 1.0 / np.maximum(np.linalg.norm(H[cold], axis=1), 1e-300)
         if accepted:
             D, alpha = H, first
         else:
@@ -398,6 +408,51 @@ def _basins(values: np.ndarray):
             leaders.append(k)
         basin[k] = len(leaders) - 1
     return basin, np.array(leaders)
+
+
+class _Image(ConvexBody):
+    """The image S K of a body under a symmetric linear map S.
+
+    Its support at u is h_K(S u), attained at S x_K(S u).  The class lives
+    here, not in bodies, so that each support call reaches K's own
+    support_batch once.
+    """
+
+    def __init__(self, body: ConvexBody, S: np.ndarray):
+        self.body, self.S, self.dim = body, S, body.dim
+
+    @property
+    def kinked(self) -> bool:
+        return self.body.kinked
+
+    def support_batch(self, U, smooth: float = 0.0):
+        h, P = self.body.support_batch(U @ self.S, smooth=smooth)
+        return h, P @ self.S
+
+
+def _normal_position(body: ConvexBody) -> np.ndarray:
+    """symplectic_normalizer of the body's polarized squared support.
+
+    One support_batch call at +-e_i and e_i +- e_j (i < j) gives
+    Q_ii = h(e_i)^2 and Q_ij = (h(e_i + e_j)^2 - h(e_i - e_j)^2) / 4, which
+    for an ellipsoid is its own Q.  The call also rejects unbounded bodies,
+    and a non-finite value is a ValueError naming its direction.
+    """
+    dim = body.dim
+    eye = np.eye(dim)
+    i, j = np.triu_indices(dim, 1)
+    probe = np.vstack([eye, -eye, eye[i] + eye[j], eye[i] - eye[j]])
+    h, _ = body.support_batch(probe)
+    bad = np.flatnonzero(~np.isfinite(h))
+    if bad.size:
+        names = (["e%d" % (a + 1) for a in range(dim)] + ["-e%d" % (a + 1) for a in range(dim)]
+                 + ["e%d %s e%d" % (a + 1, sign, b + 1) for sign in "+-" for a, b in zip(i, j)])
+        raise ValueError("support value %r in direction %s is not finite"
+                         % (float(h[bad[0]]), names[bad[0]]))
+    h2 = h * h
+    Q = np.diag(h2[:dim])
+    Q[i, j] = Q[j, i] = 0.25 * (h2[2 * dim:2 * dim + i.size] - h2[2 * dim + i.size:])
+    return symplectic_normalizer(Q)
 
 
 def _count(name: str, value, least: int) -> int:
@@ -445,6 +500,23 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
     minimizer, so the rounding never leaks into the estimate.  N,
     restarts, max_iter and seed must be integers (seed at least 0) and
     grad_tol a finite number at least 0.
+
+    Every descent runs in normal position.  One support call at +-e_i and
+    e_i +- e_j polarizes h^2 into a symmetric Q (an ellipsoid's own Q), and
+    symplectic_normalizer gives the symmetric symplectic S for which S Q S
+    commutes with J.  The restarts, stages, basins and polish then descend
+    on SK, whose support at u is h(S u), from velocities w that are the
+    body's v = S w.  Both the discrete action and the ratio are invariant
+    under symplectic maps, so SK has the same minimum as the body, but
+    L-BFGS is not: a stretched ellipsoid costs what its normal form
+    E(c_1, ..., c_n) costs.  Loops are mapped back by v = S w and every
+    reported value is measured on the body itself (see EhzResult), so an
+    imprecise S (its symplectic error grows with cond Q) costs only
+    optimality, never meaning.  Where Q commutes with J exactly (the ball
+    and every axis-aligned E(r_1, ..., r_n)) or is not positive definite,
+    S is the identity and the body descends as it is.  The probe call also
+    rejects unbounded bodies, and a non-finite probe value is a ValueError
+    naming its direction.
     """
     N = _count("N", N, 16)
     restarts = _count("restarts", restarts, 1)
@@ -455,9 +527,14 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
             or not np.isfinite(grad_tol) or grad_tol < 0):
         raise ValueError("grad_tol must be a finite number at least 0, got %r" % (grad_tol,))
     dim = body.dim
-    # reject unbounded bodies up front by probing the coordinate directions
-    probe = np.vstack([np.eye(dim), -np.eye(dim)])
-    body.support_batch(probe)
+    S = _normal_position(body)
+    moved = not np.array_equal(S, np.eye(dim))
+    image = _Image(body, S) if moved else body
+
+    def to_body(W, M=S):
+        # the image's velocities as the body's, v = S w, or with M = S^-1
+        # its gradients as the body's
+        return (W.reshape(len(W), -1, dim) @ M).reshape(W.shape) if moved else W
 
     N0 = N
     while N0 % 2 == 0 and N0 >= 2 * _COARSE_N:
@@ -465,13 +542,13 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
     schedule = _SMOOTHING if body.kinked else _SMOOTHING[-1:]
 
     def descend(X, n, smooth):
-        return _lbfgs(lambda W: _ratio_and_grad(W, body, n, dim, smooth), X,
+        return _lbfgs(lambda W: _ratio_and_grad(W, image, n, dim, smooth), X,
                       grad_tol, max_iter)
 
     X = np.stack([_fourier_start(np.random.default_rng([seed, k]), N0, dim).ravel()
                   for k in range(restarts)])
     X, G, nit, nfev, stop = descend(X, N0, schedule[0])
-    history = _ratio_and_grad(X, body, N0, dim)[0]
+    history = _ratio_and_grad(to_body(X), body, N0, dim)[0]
     basin, leaders = _basins(history)
     stages = np.ones(restarts, dtype=int)
     if len(schedule) > 1:
@@ -483,11 +560,11 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
             nit[lead] += steps
             nfev[lead] += evals
         X[lead], G[lead], stages[lead] = x, g, len(schedule)
-        history[lead] = _ratio_and_grad(x, body, N0, dim)[0]
+        history[lead] = _ratio_and_grad(to_body(x), body, N0, dim)[0]
         for k, message in zip(lead, last):
             stop[k] = message
     history = history.tolist()
-    grad_norms = np.linalg.norm(G, axis=1)
+    grad_norms = np.linalg.norm(to_body(G, np.linalg.inv(S)), axis=1)
     restart_log = [{"value": history[k], "nit": int(nit[k]), "nfev": int(nfev[k]),
                     "stages": int(stages[k]), "message": stop[k],
                     "grad_norm": float(grad_norms[k]), "basin": int(basin[k])}
@@ -502,6 +579,7 @@ def ehz_capacity(body: ConvexBody, N: int = 256, restarts: int = 8,
         x, _, steps, evals, stop = descend(x, n, schedule[-1])
         last = stop[0]
         polish.append({"N": n, "nit": int(steps[0]), "nfev": int(evals[0]), "message": last})
+    x = to_body(x)
     ratio, grad = _ratio_and_grad(x, body, N, dim)
     loop = DualLoop(x.reshape(N, dim))
     act = loop_action(loop)

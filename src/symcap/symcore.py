@@ -59,6 +59,40 @@ def is_symplectic(M: np.ndarray, tol: float = SYMPLECTIC_TOL) -> bool:
     return float(np.max(np.abs(M.T @ J @ M - J))) <= tol
 
 
+def _spectral(A: np.ndarray, f) -> np.ndarray:
+    """f applied to the eigenvalues of the symmetric matrix A."""
+    w, V = np.linalg.eigh(A)
+    return (V * f(w)) @ V.T
+
+
+def symplectic_normalizer(Q: np.ndarray) -> np.ndarray:
+    """The symmetric positive definite symplectic S with S Q S commuting with J.
+
+    For the ellipsoid K with support sqrt(u^T Q u), SK has support
+    sqrt(u^T S Q S u) and is a unitary image of its normal form
+    E(c_1, ..., c_n).  With G = Q^-1 and C = G^{1/2} J G^{1/2},
+    S^2 = G^{1/2} (-C^2)^{-1/2} G^{1/2}, which is T^T T for every symplectic
+    T taking G to its Williamson diagonal form (Williamson 1936), so S does
+    not depend on T's unitary freedom.  Its symplectic error grows with
+    cond Q.  S is exactly the identity when Q commutes with J (J^T Q J = Q
+    bit for bit: nothing to move) or is not numerically positive definite
+    (its smallest eigenvalue at most 2n eps times its largest: no ellipsoid
+    to move).
+    """
+    Q = np.asarray(Q, dtype=float)
+    m = Q.shape[0]
+    J = standard_J(m // 2)
+    if np.array_equal(J.T @ Q @ J, Q):
+        return np.eye(m)
+    w, V = np.linalg.eigh(Q)
+    if w[0] <= m * np.finfo(float).eps * w[-1]:
+        return np.eye(m)
+    root_G = (V / np.sqrt(w)) @ V.T
+    C = root_G @ J @ root_G
+    S = _spectral(root_G @ _spectral(C @ C.T, lambda x: x ** -0.5) @ root_G, np.sqrt)
+    return 0.5 * (S + S.T)
+
+
 def kahler_angle(n1, n2, tol: float = 1e-8) -> float:
     """|omega(n1, n2)| for a unit orthogonal pair, clamped to [0, 1].
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symcap import symcore as sc
+from symcap.bodies import symplectic_spectrum_capacities
 
 
 def test_standard_J_n1():
@@ -224,3 +225,48 @@ def test_kahler_angle_datum_validation():
         sc.KahlerAngleDatum(2.0 * n1, n2)
     with pytest.raises(ValueError):
         sc.KahlerAngleDatum(n1, n2, eps=-1.0)
+
+
+def _hermitian_form(n, rng):
+    # real form of a positive definite complex Hermitian matrix: J^T Q J = Q
+    # holds bit for bit, since J only moves and negates entries
+    Z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    H = Z @ Z.conj().T + np.eye(n)
+    Q = np.empty((2 * n, 2 * n))
+    Q[0::2, 0::2] = Q[1::2, 1::2] = H.real
+    Q[0::2, 1::2], Q[1::2, 0::2] = -H.imag, H.imag
+    return Q
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_symplectic_normalizer_moves_an_ellipsoid_to_normal_position(n):
+    rng = np.random.default_rng(40 + n)
+    J = sc.standard_J(n)
+    forms = [sc.random_symplectic_matrix(n, rng) @ np.diag(np.repeat(rng.uniform(0.2, 2.0, n), 2))
+             @ sc.random_symplectic_matrix(n, rng).T for _ in range(3)]
+    forms = [M @ M.T for M in forms]
+    if n == 2:
+        M = sc.matrix_AL(8.0) @ sc.matrix_Mt(0.15)
+        forms.append(M @ M.T / np.pi)
+    for Q in forms:
+        S = sc.symplectic_normalizer(Q)
+        assert np.array_equal(S, S.T)
+        assert np.linalg.eigvalsh(S)[0] > 0.0
+        assert sc.is_symplectic(S)
+        P = S @ Q @ S
+        assert np.max(np.abs(P @ J - J @ P)) <= 1e-9 * np.max(np.abs(P))
+        # S Q S is Hermitian: its eigenvalues come in pairs, pi / d_i each
+        caps = np.pi * np.linalg.eigvalsh(P)
+        assert caps[0::2] == pytest.approx(caps[1::2], rel=1e-9)
+        assert caps[0::2] == pytest.approx(symplectic_spectrum_capacities(np.linalg.inv(Q)),
+                                           rel=1e-9)
+
+
+def test_symplectic_normalizer_is_the_identity_where_nothing_moves():
+    rng = np.random.default_rng(44)
+    for Q in (np.eye(4), np.diag([0.3, 0.3, 2.0, 2.0]), _hermitian_form(2, rng),
+              _hermitian_form(3, rng)):
+        assert np.array_equal(sc.symplectic_normalizer(Q), np.eye(Q.shape[0]))
+    # not positive definite: no ellipsoid to move
+    for Q in (np.diag([1.0, 2.0, -1.0, 3.0]), np.diag([1.0, 2.0, 0.0, 3.0])):
+        assert np.array_equal(sc.symplectic_normalizer(Q), np.eye(4))
